@@ -15,14 +15,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import DataError, Dataset, load_csv, standardize
 from .engine import EngineError, FcmConfig
 from .rng import RNG_NAME, SEED_SCHEME, derive_seed
 from .seeding import DEFAULT_BENCH_METHODS, RELAUNCH_COUNT, STRATEGIES, fit_method
 from .synth import dataset_from_spec
-from .validity import score_result
+from .validity import decode_inf, encode_inf, score_result
 
 # Criterion -> optimization direction, in report column order. FB and FI
 # follow the separation indices (maximize); iterations, FW, FS, XB are
@@ -81,7 +80,7 @@ class ComparisonReport:
             "cells": {
                 ds: {
                     method: {
-                        "values": {c: _encode(v) for c, v in cell["values"].items()}
+                        "values": {c: encode_inf(v) for c, v in cell["values"].items()}
                         if cell["values"] is not None
                         else None,
                         "rng_seed": cell["rng_seed"],
@@ -101,7 +100,7 @@ class ComparisonReport:
         cells = {
             ds: {
                 method: {
-                    "values": {c: _decode(v) for c, v in cell["values"].items()}
+                    "values": {c: decode_inf(v) for c, v in cell["values"].items()}
                     if cell["values"] is not None
                     else None,
                     "rng_seed": cell["rng_seed"],
@@ -126,20 +125,6 @@ class ComparisonReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _encode(v):
-    if isinstance(v, float) and np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
-
-
-def _decode(v):
-    if v == "inf":
-        return float("inf")
-    if v == "-inf":
-        return float("-inf")
-    return v
-
-
 def load_manifest(path) -> list[BenchJob]:
     """Read a dataset manifest: a JSON list of {name, expected_k, and
     either path (+ label_column, delimiter, standardize) or generator}.
@@ -157,6 +142,11 @@ def load_manifest(path) -> list[BenchJob]:
 
     jobs = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            jobs.append(BenchJob(name=f"dataset_{i}", expected_k=0,
+                                 error=f"manifest entry {i} must be an object, "
+                                       f"got {type(entry).__name__}"))
+            continue
         name = entry.get("name", f"dataset_{i}")
         try:
             expected_k = int(entry["expected_k"])
@@ -174,15 +164,11 @@ def load_manifest(path) -> list[BenchJob]:
             else:
                 raise DataError(f"manifest entry {name!r} has neither path nor generator")
             ds = standardize(ds, entry.get("standardize", "none"))
-            ds = replace_name(ds, name)
+            ds = replace(ds, name=name)
             jobs.append(BenchJob(name=name, expected_k=expected_k, dataset=ds))
         except (DataError, ValueError, KeyError) as exc:
             jobs.append(BenchJob(name=name, expected_k=entry.get("expected_k", 0), error=str(exc)))
     return jobs
-
-
-def replace_name(d: Dataset, name: str) -> Dataset:
-    return Dataset(points=d.points, labels=d.labels, name=name)
 
 
 def _run_cell(job: BenchJob, method: str, cfg: FcmConfig, master_seed: int) -> dict:
@@ -290,6 +276,21 @@ def _badness(value, direction: str) -> float:
     return -v if direction == "maximize" else v
 
 
+def _average_ranks(keys: list[float]) -> np.ndarray:
+    """1-based ascending ranks; equal keys share the mean of the ranks they
+    cover. A NaN key makes every rank NaN."""
+    keys = np.asarray(keys, dtype=float)
+    if np.isnan(keys).any():
+        return np.full(keys.size, np.nan)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], keys.size]
+    ranks = np.empty(keys.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def rank_methods(report: ComparisonReport) -> ComparisonReport:
     """Fill per-(dataset, criterion) rank vectors and average ranks.
 
@@ -308,7 +309,7 @@ def rank_methods(report: ComparisonReport) -> ComparisonReport:
                 else None
                 for m in report.methods
             ]
-            vector = rankdata([_badness(v, direction) for v in values], method="average")
+            vector = _average_ranks([_badness(v, direction) for v in values])
             ranks[ds][criterion] = {
                 m: float(r) for m, r in zip(report.methods, vector)
             }
@@ -325,11 +326,8 @@ def rank_methods(report: ComparisonReport) -> ComparisonReport:
 def _fmt(value) -> str:
     if value is None:
         return "error"
-    if isinstance(value, float):
-        if np.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
+    value = encode_inf(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _table(rows: list[list[str]], header: list[str], fmt: str) -> str:

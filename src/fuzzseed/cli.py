@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_csv, standardize
+from .data import DataError, load_csv, standardize, write_csv
 from .engine import EngineError, FcmConfig, update_membership
 from .rng import fresh_seed
 from .seeding import DEFAULT_BENCH_METHODS, STOCHASTIC, STRATEGIES, fit_method, make_seeds
-from .synth import dataset_from_spec, write_csv
+from .synth import dataset_from_spec
 from .bench import load_manifest, rank_methods, run_comparison, write_report
-from .validity import ValidityScores, v_cl, v_fch, v_fratio, v_fs, v_pc, v_tsfd, v_xb
+from .validity import score_partition
 
 
 class UsageError(Exception):
@@ -86,10 +86,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="score a fitted result with all validity indices")
     p.add_argument("--result", required=True, help="FcmResult JSON from fit")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default=None)
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--standardize", default="none", choices=("none", "z-score", "min-max"))
+    _add_data_flags(p)
     p.add_argument("--membership", default=None,
                    help="membership CSV from fit; recomputed from centroids when absent")
 
@@ -157,15 +154,7 @@ def cmd_fit(args) -> int:
 
 
 def _load_membership(path, n, k):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        if header.count(",") + 1 != k:
-            raise DataError(f"{path}: expected {k} membership columns")
-        for line in fh:
-            if line.strip():
-                rows.append([float(v) for v in line.strip().split(",")])
-    u = np.array(rows, dtype=float)
+    u = load_csv(path).points
     if u.shape != (n, k):
         raise DataError(f"{path}: membership shape {u.shape} does not match (n={n}, k={k})")
     return u
@@ -191,24 +180,7 @@ def cmd_validate(args) -> int:
     else:
         print("membership not supplied; recomputing from centroids", file=sys.stderr)
         u = update_membership(ds.points, centroids, m)
-    fratio = v_fratio(fb, fw)
-    xb = v_xb(ds, centroids, u, m)
-    flags = []
-    if np.isinf(fratio):
-        flags.append("zero_fw")
-    if np.isinf(xb):
-        flags.append("coincident_centroids")
-    scores = ValidityScores(
-        pc=v_pc(u),
-        cl=v_cl(u),
-        fratio=fratio,
-        fch=v_fch(fb, fw, ds.n, centroids.shape[0]),
-        fs=v_fs(fw, fb),
-        xb=xb,
-        tsfd=v_tsfd(fb, fi),
-        flags=tuple(flags),
-    )
-    out = scores.to_dict()
+    out = score_partition(ds, centroids, u, m, fw, fb, fi).to_dict()
     out["schema"] = "fuzzseed/1"
     _emit(out, None)
     return 0

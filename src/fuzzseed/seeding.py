@@ -17,6 +17,7 @@ deterministic strategies are exactly reproducible. Stochastic strategies
 record their effective seed in the returned SeedSet.
 """
 
+import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,20 +26,8 @@ from .data import Dataset
 from .engine import EngineError, FcmConfig, FcmResult, run_fcm
 from .rng import RNG_NAME, derive_seed, fresh_seed, make_rng
 
-STRATEGIES = (
-    "macqueen1",
-    "macqueen2",
-    "faber",
-    "kmeanspp",
-    "kmeanspp_x10",
-    "maxmin",
-    "maxmin_linear",
-)
-
 # Default comparison set; the quadratic maxmin oracle is excluded.
 DEFAULT_BENCH_METHODS = ("macqueen2", "faber", "kmeanspp", "kmeanspp_x10", "maxmin_linear")
-
-STOCHASTIC = {"macqueen2", "faber", "kmeanspp", "kmeanspp_x10"}
 
 RELAUNCH_COUNT = 10
 
@@ -241,6 +230,37 @@ def seed_maxmin_linear(d: Dataset, k: int) -> SeedSet:
     )
 
 
+# The strategy registry, in report order: id -> the function that draws
+# its seeds or, for a best-of-RELAUNCH_COUNT strategy, the id it relaunches.
+# A strategy is stochastic when its function takes a `seed` (relaunches
+# always are). Functions are plain dict values so that a wrapper rebound
+# over this module's functions (a tracer) also sees calls made via the table.
+SEEDERS = {
+    "macqueen1": seed_macqueen_first_k,
+    "macqueen2": seed_macqueen2,
+    "faber": "macqueen2",
+    "kmeanspp": seed_kmeanspp,
+    "kmeanspp_x10": "kmeanspp",
+    "maxmin": seed_maxmin_quadratic,
+    "maxmin_linear": seed_maxmin_linear,
+}
+
+STRATEGIES = tuple(SEEDERS)
+
+STOCHASTIC = frozenset(
+    method
+    for method, seeder in SEEDERS.items()
+    if isinstance(seeder, str) or "seed" in inspect.signature(seeder).parameters
+)
+
+
+def _seeder(method: str):
+    try:
+        return SEEDERS[method]
+    except KeyError:
+        raise ValueError(f"unknown seeding method {method!r}") from None
+
+
 def seed_repeated(
     strategy: str,
     d: Dataset,
@@ -260,8 +280,8 @@ def seed_repeated(
     """
     if r < 1:
         raise ValueError(f"relaunch count must be >= 1, got {r}")
-    inner = {"macqueen2": seed_macqueen2, "kmeanspp": seed_kmeanspp}.get(strategy)
-    if inner is None:
+    inner = SEEDERS.get(strategy)
+    if not callable(inner) or strategy not in STOCHASTIC:
         raise ValueError(f"seed_repeated needs a stochastic strategy, got {strategy!r}")
     cfg = cfg or FcmConfig()
     seed = fresh_seed() if seed is None else int(seed)
@@ -298,30 +318,18 @@ def make_seeds(d: Dataset, k: int, method: str, seed: int | None = None,
     so they accept a config (defaulted) even though only seeds are
     returned.
     """
-    if method == "macqueen1":
-        return seed_macqueen_first_k(d, k)
-    if method == "macqueen2":
-        return seed_macqueen2(d, k, seed=seed)
-    if method == "kmeanspp":
-        return seed_kmeanspp(d, k, seed=seed)
-    if method == "maxmin":
-        return seed_maxmin_quadratic(d, k)
-    if method == "maxmin_linear":
-        return seed_maxmin_linear(d, k)
-    if method == "faber":
-        return seed_repeated("macqueen2", d, k, seed=seed, cfg=cfg, label="faber")[0]
-    if method == "kmeanspp_x10":
-        return seed_repeated("kmeanspp", d, k, seed=seed, cfg=cfg, label="kmeanspp_x10")[0]
-    raise ValueError(f"unknown seeding method {method!r}")
+    seeder = _seeder(method)
+    if isinstance(seeder, str):
+        return seed_repeated(seeder, d, k, seed=seed, cfg=cfg, label=method)[0]
+    return seeder(d, k, seed=seed) if method in STOCHASTIC else seeder(d, k)
 
 
 def fit_method(d: Dataset, k: int, method: str, cfg: FcmConfig | None = None,
                seed: int | None = None) -> tuple[SeedSet, FcmResult]:
     """Seed with the named strategy and run FCM to convergence."""
     cfg = cfg or FcmConfig()
-    if method == "faber":
-        return seed_repeated("macqueen2", d, k, seed=seed, cfg=cfg, label="faber")
-    if method == "kmeanspp_x10":
-        return seed_repeated("kmeanspp", d, k, seed=seed, cfg=cfg, label="kmeanspp_x10")
+    seeder = _seeder(method)
+    if isinstance(seeder, str):
+        return seed_repeated(seeder, d, k, seed=seed, cfg=cfg, label=method)
     seeds = make_seeds(d, k, method, seed=seed)
     return seeds, run_fcm(d, seeds, cfg)

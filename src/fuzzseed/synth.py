@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, load_csv, write_csv  # write_csv re-exported
+from .data import Dataset, load_csv
 from .rng import fresh_seed, make_rng
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "gen_gaussian_clusters",
     "add_skewed_noise",
     "dataset_from_spec",
-    "write_csv",
 ]
 
 

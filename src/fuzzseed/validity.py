@@ -39,14 +39,21 @@ class ValidityScores:
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        def enc(v: float):
-            if np.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return float(v)
-
-        out = {key: enc(getattr(self, key)) for key in INDEX_DIRECTIONS}
+        out = {key: encode_inf(float(getattr(self, key))) for key in INDEX_DIRECTIONS}
         out["flags"] = list(self.flags)
         return out
+
+
+def encode_inf(v):
+    """JSON form of a value: an infinite float becomes "inf" or "-inf"."""
+    if isinstance(v, float) and np.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
+
+
+def decode_inf(v):
+    """Inverse of encode_inf."""
+    return float(v) if v in ("inf", "-inf") else v
 
 
 def v_pc(u: np.ndarray) -> float:
@@ -131,23 +138,32 @@ def v_tsfd(fb: float, fi: float) -> float:
     return min(max(direct, 0.0), 1.0)
 
 
-def score_result(d: Dataset, result: FcmResult) -> ValidityScores:
-    """Evaluate all seven indices on the final state of a run."""
+def score_partition(d: Dataset, centroids: np.ndarray, u: np.ndarray, m: float,
+                    fw: float, fb: float, fi: float) -> ValidityScores:
+    """Evaluate all seven indices on a partition: its centroids, membership
+    matrix, fuzziness and inertia decomposition FI = FW + FB. Zero FW is
+    flagged "zero_fw" and coincident centroids "coincident_centroids"."""
     flags = []
-    fratio = v_fratio(result.fb, result.fw)
-    fch = v_fch(result.fb, result.fw, d.n, result.k)
+    fratio = v_fratio(fb, fw)
+    fch = v_fch(fb, fw, d.n, len(centroids))
     if np.isinf(fratio):
         flags.append("zero_fw")
-    xb = v_xb(d, result.centroids, result.membership, result.m)
+    xb = v_xb(d, centroids, u, m)
     if np.isinf(xb):
         flags.append("coincident_centroids")
     return ValidityScores(
-        pc=v_pc(result.membership),
-        cl=v_cl(result.membership),
+        pc=v_pc(u),
+        cl=v_cl(u),
         fratio=fratio,
         fch=fch,
-        fs=v_fs(result.fw, result.fb),
+        fs=v_fs(fw, fb),
         xb=xb,
-        tsfd=v_tsfd(result.fb, result.fi),
+        tsfd=v_tsfd(fb, fi),
         flags=tuple(flags),
     )
+
+
+def score_result(d: Dataset, result: FcmResult) -> ValidityScores:
+    """Evaluate all seven indices on the final state of a run."""
+    return score_partition(d, result.centroids, result.membership, result.m,
+                           result.fw, result.fb, result.fi)

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzseed import (
     BenchJob,
@@ -90,6 +93,69 @@ def test_rank_directions():
     ranked = rank_methods(report)
     assert ranked.ranks["d0"]["fw"] == {"a": 1.0, "b": 2.0, "c": 3.0}  # minimize
     assert ranked.ranks["d0"]["fb"] == {"a": 3.0, "b": 2.0, "c": 1.0}  # maximize
+
+
+# Criterion values that tie often: signed zeros, infinities and missing
+# cells (None) next to a few finite values.
+TIE_PRONE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, math.inf, -math.inf, None]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def tie_prone_reports(draw):
+    methods = [f"m{i}" for i in range(draw(st.integers(1, 7)))]
+    datasets = [f"d{i}" for i in range(draw(st.integers(1, 3)))]
+    cells = {
+        ds: {
+            m: {
+                # an errored cell has no values at all
+                "values": None if draw(st.integers(0, 9)) == 0
+                else {c: draw(TIE_PRONE) for c in CRITERIA},
+                "rng_seed": None,
+                "flags": [],
+                "error": None,
+            }
+            for m in methods
+        }
+        for ds in datasets
+    }
+    return ComparisonReport(datasets=datasets, methods=methods, criteria=list(CRITERIA),
+                            cells=cells)
+
+
+def brute_force_ranks(values, direction):
+    """rank_i = 1 + #{x_j < x_i} + (#{x_j == x_i} - 1) / 2 over sort keys in
+    which a missing or infinite value is worst."""
+    keys = [
+        math.inf if v is None or math.isinf(v) else (-v if direction == "maximize" else v)
+        for v in values
+    ]
+    return [
+        1 + sum(y < x for y in keys) + (sum(y == x for y in keys) - 1) / 2 for x in keys
+    ]
+
+
+@settings(deadline=None)
+@given(tie_prone_reports())
+def test_rank_methods_matches_brute_force(report):
+    ranked = rank_methods(report)
+    size = len(report.methods)
+    for ds in report.datasets:
+        for criterion, direction in CRITERIA.items():
+            values = [
+                None if report.cells[ds][m]["values"] is None
+                else report.cells[ds][m]["values"][criterion]
+                for m in report.methods
+            ]
+            vector = ranked.ranks[ds][criterion]
+            assert [vector[m] for m in report.methods] == brute_force_ranks(values, direction)
+            assert sum(vector.values()) == size * (size + 1) / 2
+    for criterion in CRITERIA:
+        for m in report.methods:
+            per_ds = [ranked.ranks[ds][criterion][m] for ds in report.datasets]
+            assert ranked.average_ranks[criterion][m] == pytest.approx(np.mean(per_ds))
 
 
 def test_average_rank_mean():
@@ -211,15 +277,17 @@ def test_load_manifest(tmp_path, ruspini_like):
             "generator": {"kind": "gaussian_clusters", "k": 3, "size": 10, "sigma": 0.3, "dims": 2, "rng_seed": 1},
         },
         {"name": "broken", "expected_k": 2, "path": "missing.csv"},
+        [1],
     ]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     jobs = load_manifest(tmp_path / "manifest.json")
-    assert [j.name for j in jobs] == ["rl", "blob", "broken"]
+    assert [j.name for j in jobs] == ["rl", "blob", "broken", "dataset_3"]
     assert jobs[0].dataset.n == 75
     assert jobs[0].dataset.name == "rl"
     assert jobs[1].dataset.n == 30
     assert jobs[1].error is None
     assert jobs[2].error is not None and jobs[2].dataset is None
+    assert "must be an object" in jobs[3].error and jobs[3].dataset is None
 
 
 def test_full_grid_cell_count():

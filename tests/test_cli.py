@@ -151,6 +151,23 @@ def test_validate_mismatched_data(capsys, tmp_path, ruspini_csv, line5):
     assert "does not match" in err
 
 
+def test_validate_non_numeric_membership_is_data_error(capsys, tmp_path, ruspini_csv):
+    out_json = tmp_path / "fit.json"
+    out_u = tmp_path / "u.csv"
+    run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
+            "--k", "4", "--method", "maxmin_linear",
+            "--out", str(out_json), "--membership-out", str(out_u))
+    lines = out_u.read_text().splitlines()
+    lines[3] = "abc," + lines[3].split(",", 1)[1]
+    out_u.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        capsys, "validate", "--result", str(out_json), "--data", str(ruspini_csv),
+        "--label-column", "label", "--membership", str(out_u),
+    )
+    assert code == 2
+    assert "'abc' at line 4, column 1" in err
+
+
 def test_generate_shapes_and_determinism(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(
