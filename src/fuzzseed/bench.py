@@ -143,9 +143,14 @@ def load_manifest(path) -> list[BenchJob]:
     jobs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
+            problem = f"must be an object, got {type(entry).__name__}"
+        elif not isinstance(entry.get("name", ""), str):
+            problem = f"name must be a string, got {type(entry['name']).__name__}"
+        else:
+            problem = None
+        if problem is not None:
             jobs.append(BenchJob(name=f"dataset_{i}", expected_k=0,
-                                 error=f"manifest entry {i} must be an object, "
-                                       f"got {type(entry).__name__}"))
+                                 error=f"manifest entry {i} {problem}"))
             continue
         name = entry.get("name", f"dataset_{i}")
         try:

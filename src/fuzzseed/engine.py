@@ -87,9 +87,38 @@ class FcmResult:
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (len(a), len(b))."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ikj,ikj->ik", diff, diff)
+    """Pairwise squared Euclidean distances, shape (len(a), len(b)).
+
+    Fills one column per row of `b` from a single reused (len(a), p)
+    difference buffer, so the scratch memory is O(len(a) * p) and no
+    (len(a), len(b), p) tensor is built. Each entry is the same
+    sum-of-products over p as the broadcast einsum, bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty((a.shape[0], b.shape[0]))
+    diff = np.empty_like(a)
+    for j, row in enumerate(b):
+        np.subtract(a, row, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=out[:, j])
+    return out
+
+
+def _membership(d2: np.ndarray, m: float) -> np.ndarray:
+    """Membership from squared point-to-centroid distances (see
+    update_membership); the one home of the coincident-point rule."""
+    u = np.zeros_like(d2)
+    zero = d2 == 0.0
+    degenerate = zero.any(axis=1)
+    if degenerate.any():
+        hits = zero[degenerate]
+        u[degenerate] = hits / hits.sum(axis=1, keepdims=True)
+    regular = ~degenerate
+    if regular.any():
+        dr = d2[regular]
+        w = (dr / dr.min(axis=1, keepdims=True)) ** (-1.0 / (m - 1.0))
+        u[regular] = w / w.sum(axis=1, keepdims=True)
+    return u
 
 
 def update_membership(points: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
@@ -106,26 +135,18 @@ def update_membership(points: np.ndarray, centroids: np.ndarray, m: float) -> np
         raise ValueError("need at least 2 centroids")
     if not m > 1.0:
         raise ValueError(f"fuzziness m must exceed 1, got {m}")
-    d2 = sq_dists(points, centroids)
-    u = np.zeros_like(d2)
-    zero = d2 == 0.0
-    degenerate = zero.any(axis=1)
-    if degenerate.any():
-        hits = zero[degenerate]
-        u[degenerate] = hits / hits.sum(axis=1, keepdims=True)
-    regular = ~degenerate
-    if regular.any():
-        dr = d2[regular]
-        w = (dr / dr.min(axis=1, keepdims=True)) ** (-1.0 / (m - 1.0))
-        u[regular] = w / w.sum(axis=1, keepdims=True)
-    return u
+    return _membership(sq_dists(points, centroids), m)
 
 
 def update_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
     """Centroid update: c_k = sum_i u_ik^m x_i / sum_i u_ik^m."""
     points = np.asarray(points, dtype=float)
     um = np.asarray(u, dtype=float) ** m
-    mass = um.sum(axis=0)
+    return _weighted_means(points, um, um.sum(axis=0))
+
+
+def _weighted_means(points: np.ndarray, um: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Centroids from u^m and its column sums; a zero column collapses."""
     empty = np.nonzero(mass == 0.0)[0]
     if empty.size:
         raise CollapsedClusterError(f"cluster {empty[0]} has zero membership mass")
@@ -135,23 +156,28 @@ def update_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
 def fuzzy_within(points, centroids, u, m: float) -> float:
     """FW: membership-weighted sum of squared point-to-centroid distances."""
     um = np.asarray(u, dtype=float) ** m
-    return float((um * sq_dists(np.asarray(points, float), np.asarray(centroids, float))).sum())
+    return float((um * sq_dists(points, centroids)).sum())
 
 
 def fuzzy_between(points, centroids, u, m: float) -> float:
     """FB: membership-weighted sum of squared centroid-to-grand-mean distances."""
-    points = np.asarray(points, dtype=float)
-    centroids = np.asarray(centroids, dtype=float)
-    xbar = points.mean(axis=0)
     col_mass = (np.asarray(u, dtype=float) ** m).sum(axis=0)
+    return _between(np.asarray(points, dtype=float), np.asarray(centroids, dtype=float), col_mass)
+
+
+def _between(points: np.ndarray, centroids: np.ndarray, col_mass: np.ndarray) -> float:
+    xbar = points.mean(axis=0)
     d2 = ((centroids - xbar) ** 2).sum(axis=1)
     return float((col_mass * d2).sum())
 
 
 def fuzzy_inertia(points, u, m: float) -> float:
     """FI: membership-weighted total scatter about the grand mean."""
-    points = np.asarray(points, dtype=float)
     row_mass = (np.asarray(u, dtype=float) ** m).sum(axis=1)
+    return _inertia(np.asarray(points, dtype=float), row_mass)
+
+
+def _inertia(points: np.ndarray, row_mass: np.ndarray) -> float:
     xbar = points.mean(axis=0)
     d2 = ((points - xbar) ** 2).sum(axis=1)
     return float((row_mass * d2).sum())
@@ -163,7 +189,8 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     Stops when the relative FW change drops below cfg.epsilon (a previous
     FW of exactly 0 counts as converged) or at cfg.max_iterations. One
     iteration is one completed membership+centroid cycle; FW is recorded
-    after each cycle.
+    after each cycle. A non-finite FW or centroid (squared distances that
+    overflow float64) raises EngineError.
 
     `seeds` is a SeedSet or anything with a `.centroids` (K, p) array;
     a bare array works too.
@@ -183,13 +210,24 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
         )
 
     points = d.points
+    m = cfg.m
+    # The distances that give FW for one cycle are the ones the next
+    # cycle's membership update needs: one distance pass per cycle.
+    d2 = sq_dists(points, centroids)
     trace: list[float] = []
     prev_fw = None
-    u = None
     for _ in range(cfg.max_iterations):
-        u = update_membership(points, centroids, cfg.m)
-        centroids = update_centroids(points, u, cfg.m)
-        fw = fuzzy_within(points, centroids, u, cfg.m)
+        u = _membership(d2, m)
+        um = u**m
+        mass = um.sum(axis=0)
+        centroids = _weighted_means(points, um, mass)
+        d2 = sq_dists(points, centroids)
+        fw = float((um * d2).sum())
+        if not (np.isfinite(fw) and np.isfinite(centroids).all()):
+            raise EngineError(
+                f"non-finite FW or centroids in iteration {len(trace) + 1}: "
+                "squared distances overflow float64 (rescale the data)"
+            )
         trace.append(fw)
         if prev_fw is not None and (
             prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon
@@ -203,10 +241,10 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
         iterations=len(trace),
         objective_trace=trace,
         fw=trace[-1],
-        fb=fuzzy_between(points, centroids, u, cfg.m),
-        fi=fuzzy_inertia(points, u, cfg.m),
+        fb=_between(points, centroids, mass),
+        fi=_inertia(points, um.sum(axis=1)),
         method=method,
         dataset=d.name,
-        m=cfg.m,
+        m=m,
         epsilon=cfg.epsilon,
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .engine import EngineError, FcmConfig, FcmResult, run_fcm
+from .engine import EngineError, FcmConfig, FcmResult, run_fcm, sq_dists
 from .rng import RNG_NAME, derive_seed, fresh_seed, make_rng
 
 # Default comparison set; the quadratic maxmin oracle is excluded.
@@ -187,9 +187,7 @@ def seed_maxmin_quadratic(d: Dataset, k: int) -> SeedSet:
     _check_k(d, k, minimum=2)
     points = d.points
     n = points.shape[0]
-    dmat = np.einsum(
-        "ikj,ikj->ik", points[:, None, :] - points[None, :, :], points[:, None, :] - points[None, :, :]
-    )
+    dmat = sq_dists(points, points)
     evals = n * (n - 1) // 2
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     flat = np.where(upper, dmat, -1.0)

@@ -278,16 +278,18 @@ def test_load_manifest(tmp_path, ruspini_like):
         },
         {"name": "broken", "expected_k": 2, "path": "missing.csv"},
         [1],
+        {"name": 5, "expected_k": 2, "path": "rl.csv"},
     ]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     jobs = load_manifest(tmp_path / "manifest.json")
-    assert [j.name for j in jobs] == ["rl", "blob", "broken", "dataset_3"]
+    assert [j.name for j in jobs] == ["rl", "blob", "broken", "dataset_3", "dataset_4"]
     assert jobs[0].dataset.n == 75
     assert jobs[0].dataset.name == "rl"
     assert jobs[1].dataset.n == 30
     assert jobs[1].error is None
     assert jobs[2].error is not None and jobs[2].dataset is None
     assert "must be an object" in jobs[3].error and jobs[3].dataset is None
+    assert "name must be a string" in jobs[4].error and jobs[4].dataset is None
 
 
 def test_full_grid_cell_count():

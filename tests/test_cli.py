@@ -95,6 +95,24 @@ def test_fit_rejects_bad_m_and_epsilon(capsys, line5):
     assert run_cli(capsys, *base, "--epsilon", "0")[0] == 1
 
 
+@pytest.fixture
+def huge_csv(tmp_path):
+    """Finite coordinates whose squared distances overflow float64."""
+    path = tmp_path / "huge.csv"
+    points = np.random.default_rng(0).normal(size=(30, 2)) * 1e200
+    path.write_text("".join(f"{x!r},{y!r}\n" for x, y in points.tolist()))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_overflowing_data_is_engine_error(capsys, huge_csv):
+    code, out, err = run_cli(capsys, "fit", "--data", str(huge_csv), "--k", "3",
+                             "--method", "maxmin_linear")
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_fit_writes_result_and_membership(capsys, tmp_path, ruspini_csv):
     out_json = tmp_path / "fit.json"
     out_u = tmp_path / "u.csv"
@@ -242,6 +260,28 @@ def test_bench_with_broken_dataset_warns_but_succeeds(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["warnings"] == 2  # one per method on the broken dataset
     assert "broken" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bench_overflowing_dataset_is_errored_cell(capsys, tmp_path, huge_csv):
+    manifest = json.loads(write_bench_manifest(tmp_path).read_text())
+    manifest.append({"name": "huge", "expected_k": 3, "path": str(huge_csv)})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, out, _ = run_cli(capsys, "bench", "--manifest", str(path), "--out",
+                           str(tmp_path / "rep"), "--seed", "3",
+                           "--methods", "maxmin_linear,macqueen2")
+    assert code == 0
+    assert json.loads(out)["warnings"] == 2
+
+    def reject(constant):
+        raise ValueError(f"bare {constant} in report.json")
+
+    report = json.loads((tmp_path / "rep" / "report.json").read_text(),
+                        parse_constant=reject)
+    for cell in report["cells"]["huge"].values():
+        assert cell["values"] is None and "non-finite" in cell["error"]
+    assert report["ranks"]["huge"]["fw"] == {"maxmin_linear": 1.5, "macqueen2": 1.5}
 
 
 def test_bench_rejects_unknown_method(capsys, tmp_path):

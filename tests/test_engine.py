@@ -14,6 +14,9 @@ from fuzzseed import (
     update_centroids,
     update_membership,
 )
+from fuzzseed import engine
+from fuzzseed.engine import sq_dists
+
 from .helpers import brute_force_membership, random_instance, random_membership
 
 # Fixed point of the two-pairs instance, computed by iterating the update
@@ -218,3 +221,83 @@ def test_result_serialization(two_pairs):
     assert payload["iterations"] == len(payload["objective_trace"])
     assert payload["fi"] == pytest.approx(payload["fw"] + payload["fb"], rel=1e-12)
     assert isinstance(payload["centroids"][0][0], float)
+
+
+def stepwise_fcm(points, centroids, cfg):
+    """run_fcm's loop composed from the public single-step operations,
+    with two distance passes per cycle."""
+    trace, prev_fw = [], None
+    for _ in range(cfg.max_iterations):
+        u = update_membership(points, centroids, cfg.m)
+        centroids = update_centroids(points, u, cfg.m)
+        fw = fuzzy_within(points, centroids, u, cfg.m)
+        trace.append(fw)
+        if prev_fw is not None and (prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon):
+            break
+        prev_fw = fw
+    fb = fuzzy_between(points, centroids, u, cfg.m)
+    return centroids, u, trace, fb, fuzzy_inertia(points, u, cfg.m)
+
+
+def fusion_instance(rng):
+    """Random points with duplicate rows, seeded from data points so some
+    points coincide with seeds (and sometimes two seeds coincide)."""
+    points, _ = random_instance(rng, max_n=40)
+    n = points.shape[0]
+    dup = rng.integers(n, size=int(rng.integers(0, n // 2 + 1)))
+    points[dup] = points[rng.integers(n, size=dup.size)]
+    k = int(rng.integers(2, min(6, n) + 1))
+    seeds = points[rng.choice(n, size=k, replace=bool(rng.random() < 0.2))]
+    return points, seeds
+
+
+def test_run_fcm_matches_stepwise_composition_bitwise():
+    rng = np.random.default_rng(9)
+    for trial in range(150):
+        points, seeds = fusion_instance(rng)
+        cfg = FcmConfig(m=(1.5, 2.0, 3.0)[trial % 3], epsilon=1e-6)
+        centroids, u, trace, fb, fi = stepwise_fcm(points, seeds, cfg)
+        res = run_fcm(Dataset(points=points, name="fuzz"), seeds, cfg)
+        assert np.array_equal(res.centroids, centroids)
+        assert np.array_equal(res.membership, u)
+        assert res.objective_trace == trace
+        assert res.fw == trace[-1]
+        assert res.fb == fb
+        assert res.fi == fi
+
+
+def test_sq_dists_matches_broadcast_einsum_bitwise():
+    rng = np.random.default_rng(10)
+    for p in [*range(1, 34), 64, 129]:
+        for n_a, n_b in [(50, 7), (9, 9), (3, 40), (0, 4), (5, 0)]:
+            a = rng.normal(size=(n_a, p)) * 10.0 ** rng.uniform(-3, 3)
+            b = rng.normal(size=(n_b, p)) + rng.uniform(-100, 100)
+            diff = a[:, None, :] - b[None, :, :]
+            expected = np.einsum("ikj,ikj->ik", diff, diff)
+            got = sq_dists(a, b)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, expected)
+
+
+def test_run_fcm_one_distance_pass_per_cycle(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(b.shape[0])
+        return sq_dists(a, b)
+
+    monkeypatch.setattr(engine, "sq_dists", counting)
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(60, 3))
+    for cfg in (FcmConfig(), FcmConfig(epsilon=1e-15, max_iterations=7)):
+        calls.clear()
+        res = run_fcm(Dataset(points=points, name="r"), points[:4], cfg)
+        assert len(calls) == res.iterations + 1
+    assert res.iterations == 7
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_fcm_non_finite_is_engine_error():
+    points = np.random.default_rng(12).normal(size=(30, 2)) * 1e200
+    with pytest.raises(EngineError, match="non-finite"):
+        run_fcm(Dataset(points=points, name="huge"), points[:3], FcmConfig())
