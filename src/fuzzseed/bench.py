@@ -16,30 +16,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, Dataset, load_csv, standardize
+from .data import SCHEMA, DataError, Dataset, load_csv_source, standardize
 from .engine import EngineError, FcmConfig
 from .rng import RNG_NAME, SEED_SCHEME, derive_seed
 from .seeding import DEFAULT_BENCH_METHODS, RELAUNCH_COUNT, STRATEGIES, fit_method
 from .synth import dataset_from_spec
-from .validity import decode_inf, encode_inf, score_result
+from .validity import INDEX_DIRECTIONS, decode_inf, encode_inf, score_result
 
-# Criterion -> optimization direction, in report column order. FB and FI
-# follow the separation indices (maximize); iterations, FW, FS, XB are
-# costs (minimize).
+# The fit's own numbers: iterations and FW are costs, FB and FI follow
+# the separation indices. The validity indices bring their own direction.
+_FIT_DIRECTIONS = {"iterations": "minimize", "fb": "maximize", "fw": "minimize", "fi": "maximize"}
+
+# Criterion -> optimization direction, in report column order.
 CRITERIA = {
-    "iterations": "minimize",
-    "pc": "maximize",
-    "cl": "maximize",
-    "fb": "maximize",
-    "fw": "minimize",
-    "fi": "maximize",
-    "fratio": "maximize",
-    "tsfd": "maximize",
-    "fs": "minimize",
-    "xb": "minimize",
+    c: (_FIT_DIRECTIONS | INDEX_DIRECTIONS)[c]
+    for c in ("iterations", "pc", "cl", "fb", "fw", "fi", "fratio", "tsfd", "fs", "xb")
 }
 
-SCHEMA = "fuzzseed/1"
+# Output formats of write_report: report.json and the csv / md tables.
+FORMATS = ("json", "csv", "md")
 
 
 @dataclass
@@ -77,45 +72,18 @@ class ComparisonReport:
             "datasets": self.datasets,
             "methods": self.methods,
             "criteria": self.criteria,
-            "cells": {
-                ds: {
-                    method: {
-                        "values": {c: encode_inf(v) for c, v in cell["values"].items()}
-                        if cell["values"] is not None
-                        else None,
-                        "rng_seed": cell["rng_seed"],
-                        "flags": cell["flags"],
-                        "error": cell["error"],
-                    }
-                    for method, cell in per_ds.items()
-                }
-                for ds, per_ds in self.cells.items()
-            },
+            "cells": _map_values(self.cells, encode_inf),
             "ranks": self.ranks,
             "average_ranks": self.average_ranks,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ComparisonReport":
-        cells = {
-            ds: {
-                method: {
-                    "values": {c: decode_inf(v) for c, v in cell["values"].items()}
-                    if cell["values"] is not None
-                    else None,
-                    "rng_seed": cell["rng_seed"],
-                    "flags": list(cell["flags"]),
-                    "error": cell["error"],
-                }
-                for method, cell in per_ds.items()
-            }
-            for ds, per_ds in payload["cells"].items()
-        }
         return cls(
             datasets=list(payload["datasets"]),
             methods=list(payload["methods"]),
             criteria=list(payload["criteria"]),
-            cells=cells,
+            cells=_map_values(payload["cells"], decode_inf),
             ranks=payload.get("ranks", {}),
             average_ranks=payload.get("average_ranks", {}),
             meta=payload.get("meta", {}),
@@ -123,6 +91,30 @@ class ComparisonReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
+
+
+def _cell(values, rng_seed, flags, error) -> dict:
+    """One grid cell, keys in report order."""
+    return {"values": values, "rng_seed": rng_seed, "flags": list(flags), "error": error}
+
+
+def _map_values(cells: dict, f) -> dict:
+    """Copy of a cells grid with `f` applied to every criterion value."""
+    return {
+        ds: {
+            method: _cell(
+                None if cell["values"] is None else {c: f(v) for c, v in cell["values"].items()},
+                cell["rng_seed"], cell["flags"], cell["error"],
+            )
+            for method, cell in per_ds.items()
+        }
+        for ds, per_ds in cells.items()
+    }
+
+
+def _value(cell: dict, criterion: str):
+    """A cell's value for one criterion; None when the cell errored."""
+    return None if cell["values"] is None else cell["values"].get(criterion)
 
 
 def load_manifest(path) -> list[BenchJob]:
@@ -156,14 +148,7 @@ def load_manifest(path) -> list[BenchJob]:
         try:
             expected_k = int(entry["expected_k"])
             if "path" in entry:
-                csv_path = Path(entry["path"])
-                if not csv_path.is_absolute():
-                    csv_path = path.parent / csv_path
-                ds = load_csv(
-                    csv_path,
-                    label_column=entry.get("label_column"),
-                    delimiter=entry.get("delimiter", ","),
-                )
+                ds = load_csv_source(entry, path.parent)
             elif "generator" in entry:
                 ds = dataset_from_spec(entry["generator"], base_dir=path.parent)
             else:
@@ -178,7 +163,7 @@ def load_manifest(path) -> list[BenchJob]:
 
 def _run_cell(job: BenchJob, method: str, cfg: FcmConfig, master_seed: int) -> dict:
     if job.error is not None:
-        return {"values": None, "rng_seed": None, "flags": [], "error": job.error}
+        return _cell(None, None, [], job.error)
     cell_seed = derive_seed(master_seed, job.name, method)
     try:
         seeds, result = fit_method(
@@ -186,25 +171,9 @@ def _run_cell(job: BenchJob, method: str, cfg: FcmConfig, master_seed: int) -> d
         )
         scores = score_result(job.dataset, result)
     except (EngineError, ValueError, ArithmeticError) as exc:
-        return {"values": None, "rng_seed": None, "flags": [], "error": str(exc)}
-    values = {
-        "iterations": int(result.iterations),
-        "pc": scores.pc,
-        "cl": scores.cl,
-        "fb": float(result.fb),
-        "fw": float(result.fw),
-        "fi": float(result.fi),
-        "fratio": scores.fratio,
-        "tsfd": scores.tsfd,
-        "fs": scores.fs,
-        "xb": scores.xb,
-    }
-    return {
-        "values": values,
-        "rng_seed": seeds.rng_seed,
-        "flags": list(scores.flags),
-        "error": None,
-    }
+        return _cell(None, None, [], str(exc))
+    values = {c: getattr(scores if c in INDEX_DIRECTIONS else result, c) for c in CRITERIA}
+    return _cell(values, seeds.rng_seed, scores.flags, None)
 
 
 def run_comparison(
@@ -307,14 +276,10 @@ def rank_methods(report: ComparisonReport) -> ComparisonReport:
     for ds in report.datasets:
         ranks[ds] = {}
         for criterion in report.criteria:
-            direction = CRITERIA[criterion]
-            values = [
-                report.cells[ds][m]["values"].get(criterion)
-                if report.cells[ds][m]["values"] is not None
-                else None
+            vector = _average_ranks([
+                _badness(_value(report.cells[ds][m], criterion), CRITERIA[criterion])
                 for m in report.methods
-            ]
-            vector = _average_ranks([_badness(v, direction) for v in values])
+            ])
             ranks[ds][criterion] = {
                 m: float(r) for m, r in zip(report.methods, vector)
             }
@@ -343,9 +308,13 @@ def _table(rows: list[list[str]], header: list[str], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: ComparisonReport, out_dir, formats=("json", "csv", "md")) -> list[Path]:
+def write_report(report: ComparisonReport, out_dir, formats=FORMATS) -> list[Path]:
     """Write report.json plus per-dataset value/rank tables and the
-    average-rank table (methods as rows, criteria as columns)."""
+    average-rank table (methods as rows, criteria as columns), in the
+    given subset of FORMATS."""
+    unknown = [f for f in formats if f not in FORMATS]
+    if unknown:
+        raise ValueError(f"unknown formats: {unknown}; choose from {', '.join(FORMATS)}")
     out_dir = Path(out_dir)
     tables = out_dir / "tables"
     tables.mkdir(parents=True, exist_ok=True)
@@ -356,43 +325,29 @@ def write_report(report: ComparisonReport, out_dir, formats=("json", "csv", "md"
         target.write_text(report.to_json())
         written.append(target)
 
-    table_formats = [f for f in formats if f in ("csv", "md")]
+    table_formats = [f for f in formats if f != "json"]
     if not table_formats:
         return written
 
-    header = ["method"] + report.criteria
-    for ds in report.datasets:
-        value_rows = [
-            [m] + [_fmt(report.cells[ds][m]["values"].get(c)
-                        if report.cells[ds][m]["values"] is not None else None)
-                   for c in report.criteria]
-            for m in report.methods
-        ]
-        rank_rows = (
-            [
-                [m] + [_fmt(report.ranks[ds][c][m]) for c in report.criteria]
-                for m in report.methods
-            ]
-            if report.ranks
-            else None
-        )
-        slug = re.sub(r"[^A-Za-z0-9._-]+", "_", ds)
-        for fmt in table_formats:
-            target = tables / f"{slug}_values.{fmt}"
-            target.write_text(_table(value_rows, header, fmt))
-            written.append(target)
-            if rank_rows is not None:
-                target = tables / f"{slug}_ranks.{fmt}"
-                target.write_text(_table(rank_rows, header, fmt))
-                written.append(target)
+    def rows(lookup) -> list[list[str]]:
+        return [[m] + [_fmt(lookup(m, c)) for c in report.criteria] for m in report.methods]
 
+    # Each group is written once per table format, in this order.
+    groups = []
+    for ds in report.datasets:
+        slug = re.sub(r"[^A-Za-z0-9._-]+", "_", ds)
+        group = {f"{slug}_values": rows(lambda m, c: _value(report.cells[ds][m], c))}
+        if report.ranks:
+            group[f"{slug}_ranks"] = rows(lambda m, c: report.ranks[ds][c][m])
+        groups.append(group)
     if report.average_ranks:
-        avg_rows = [
-            [m] + [_fmt(report.average_ranks[c][m]) for c in report.criteria]
-            for m in report.methods
-        ]
+        groups.append({"average_ranks": rows(lambda m, c: report.average_ranks[c][m])})
+
+    header = ["method"] + report.criteria
+    for group in groups:
         for fmt in table_formats:
-            target = tables / f"average_ranks.{fmt}"
-            target.write_text(_table(avg_rows, header, fmt))
-            written.append(target)
+            for stem, body in group.items():
+                target = tables / f"{stem}.{fmt}"
+                target.write_text(_table(body, header, fmt))
+                written.append(target)
     return written

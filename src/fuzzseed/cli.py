@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_csv, standardize, write_csv
+from .data import SCHEMA, STANDARDIZE_MODES, DataError, load_csv, standardize, write_csv
 from .engine import EngineError, FcmConfig, update_membership
 from .rng import fresh_seed
 from .seeding import DEFAULT_BENCH_METHODS, STOCHASTIC, STRATEGIES, fit_method, make_seeds
 from .synth import dataset_from_spec
-from .bench import load_manifest, rank_methods, run_comparison, write_report
+from .bench import FORMATS, load_manifest, rank_methods, run_comparison, write_report
 from .validity import score_partition
 
 
@@ -60,7 +60,7 @@ def _add_data_flags(p):
     p.add_argument("--data", required=True, help="CSV dataset path")
     p.add_argument("--label-column", default=None, help="header name of the label column")
     p.add_argument("--delimiter", default=",")
-    p.add_argument("--standardize", default="none", choices=("none", "z-score", "min-max"))
+    p.add_argument("--standardize", default="none", choices=STANDARDIZE_MODES)
 
 
 def build_parser() -> _Parser:
@@ -104,7 +104,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=float, default=2.0)
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--formats", default="json,csv,md")
+    p.add_argument("--formats", default=",".join(FORMATS),
+                   help=f"comma-separated subset of {', '.join(FORMATS)}")
     return parser
 
 
@@ -180,8 +181,8 @@ def cmd_validate(args) -> int:
     else:
         print("membership not supplied; recomputing from centroids", file=sys.stderr)
         u = update_membership(ds.points, centroids, m)
-    out = score_partition(ds, centroids, u, m, fw, fb, fi).to_dict()
-    out["schema"] = "fuzzseed/1"
+    out = score_partition(ds.n, centroids, u, fw, fb, fi).to_dict()
+    out["schema"] = SCHEMA
     _emit(out, None)
     return 0
 
@@ -198,7 +199,7 @@ def cmd_generate(args) -> int:
     write_csv(ds, args.out)
     _emit(
         {
-            "schema": "fuzzseed/1",
+            "schema": SCHEMA,
             "name": ds.name,
             "n": ds.n,
             "p": ds.p,
@@ -216,6 +217,13 @@ def cmd_bench(args) -> int:
     unknown = [m for m in methods if m not in STRATEGIES]
     if unknown:
         raise UsageError(f"unknown methods: {unknown}")
+    aliases = {"markdown": "md", "markdown-table": "md"}
+    formats = tuple(
+        aliases.get(f.strip(), f.strip()) for f in args.formats.split(",") if f.strip()
+    )
+    unknown = [f for f in formats if f not in FORMATS]
+    if unknown:
+        raise UsageError(f"unknown formats: {unknown}; choose from {', '.join(FORMATS)}")
     seed = _effective_seed(args)
     if seed is None:
         seed = fresh_seed()
@@ -224,10 +232,6 @@ def cmd_bench(args) -> int:
     jobs = load_manifest(args.manifest)
     report = run_comparison(jobs, methods, cfg=cfg, master_seed=seed, n_jobs=args.jobs)
     report = rank_methods(report)
-    aliases = {"markdown": "md", "markdown-table": "md"}
-    formats = tuple(
-        aliases.get(f.strip(), f.strip()) for f in args.formats.split(",") if f.strip()
-    )
     written = write_report(report, args.out, formats=formats)
 
     warnings = 0
@@ -238,8 +242,8 @@ def cmd_bench(args) -> int:
                 print(f"warning: {ds}/{method}: {cell['error']}", file=sys.stderr)
     _emit(
         {
-            "schema": "fuzzseed/1",
-            "report": str(Path(args.out) / "report.json"),
+            "schema": SCHEMA,
+            "report": str(Path(args.out) / "report.json") if "json" in formats else None,
             "files": [str(p) for p in written],
             "master_seed": seed,
             "warnings": warnings,

@@ -8,8 +8,12 @@ separate point class.
 import csv
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+# Schema tag of every JSON document fuzzseed writes.
+SCHEMA = "fuzzseed/1"
 
 STANDARDIZE_MODES = ("none", "z-score", "min-max")
 
@@ -127,6 +131,18 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
         points=np.array(points, dtype=float),
         labels=np.array(labels, dtype=int) if label_idx is not None else None,
         name=name,
+    )
+
+
+def load_csv_source(source: dict, base_dir) -> Dataset:
+    """Load the CSV a {"path", "label_column"?, "delimiter"?} object names;
+    a relative path resolves against base_dir."""
+    if not isinstance(source["path"], str):
+        raise DataError(f"path must be a string, got {type(source['path']).__name__}")
+    return load_csv(
+        Path(base_dir) / source["path"],
+        label_column=source.get("label_column"),
+        delimiter=source.get("delimiter", ","),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import SCHEMA, Dataset
 
 
 class EngineError(Exception):
@@ -70,7 +70,7 @@ class FcmResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "fuzzseed/1",
+            "schema": SCHEMA,
             "method": self.method,
             "dataset": self.dataset,
             "n": int(self.membership.shape[0]),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import SCHEMA, Dataset
 from .engine import EngineError, FcmConfig, FcmResult, run_fcm, sq_dists
 from .rng import RNG_NAME, derive_seed, fresh_seed, make_rng
 
@@ -66,7 +66,7 @@ class SeedSet:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "fuzzseed/1",
+            "schema": SCHEMA,
             "method": self.method,
             "k": int(self.k),
             "rng_seed": self.rng_seed,
@@ -116,7 +116,9 @@ def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
 
     If every remaining point coincides with a chosen seed (total weight 0)
     the draw falls back to a uniform choice among unchosen indices and the
-    SeedSet is flagged.
+    SeedSet is flagged. One n-pass per seed except the last: n*(k-1)
+    squared-distance evaluations. Weights that overflow float64 raise
+    EngineError.
     """
     _check_k(d, k)
     seed = fresh_seed() if seed is None else int(seed)
@@ -124,11 +126,18 @@ def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     points = d.points
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    dmin = ((points - points[chosen[0]]) ** 2).sum(axis=1)
-    evals = n
+    dmin = np.full(n, np.inf)
+    evals = 0
     fallback = False
     while len(chosen) < k:
+        dmin = np.minimum(dmin, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
+        evals += n
         total = dmin.sum()
+        if not np.isfinite(total):
+            raise EngineError(
+                "non-finite kmeanspp weights: squared distances overflow float64 "
+                "(rescale the data)"
+            )
         if total > 0.0:
             nxt = int(rng.choice(n, p=dmin / total))
         else:
@@ -136,8 +145,6 @@ def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
             nxt = int(rng.choice(remaining))
             fallback = True
         chosen.append(nxt)
-        dmin = np.minimum(dmin, ((points - points[nxt]) ** 2).sum(axis=1))
-        evals += n
     return SeedSet(
         centroids=points[chosen],
         method="kmeanspp",

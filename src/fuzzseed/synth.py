@@ -8,11 +8,10 @@ and above it otherwise.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, load_csv
+from .data import Dataset, load_csv_source
 from .rng import fresh_seed, make_rng
 
 __all__ = [
@@ -139,14 +138,7 @@ def dataset_from_spec(spec: dict, base_dir=".") -> Dataset:
         if not isinstance(base, dict):
             raise ValueError("skewed_noise spec needs a 'base' object")
         if "path" in base:
-            csv_path = Path(base["path"])
-            if not csv_path.is_absolute():
-                csv_path = Path(base_dir) / csv_path
-            base_ds = load_csv(
-                csv_path,
-                label_column=base.get("label_column"),
-                delimiter=base.get("delimiter", ","),
-            )
+            base_ds = load_csv_source(base, base_dir)
         else:
             base_ds = dataset_from_spec(base, base_dir=base_dir)
         noise = NoiseSpec(

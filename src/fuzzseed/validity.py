@@ -1,8 +1,9 @@
 """Fuzzy cluster validity indices.
 
 Seven scalar quality scores of a fuzzy partition, each with a fixed
-optimization direction. All of them consume the final membership matrix
-and centroids of a run. Division-by-zero cases (zero within-inertia,
+optimization direction. They consume the final membership matrix,
+centroids and inertia decomposition (FW, FB, FI) of a run; none makes a
+distance pass over the data. Division-by-zero cases (zero within-inertia,
 coincident centroids) yield an infinity sentinel plus a quality flag
 rather than an exception.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .engine import FcmResult, fuzzy_within, sq_dists
+from .engine import FcmResult, sq_dists
 
 INDEX_DIRECTIONS = {
     "pc": "maximize",
@@ -102,19 +103,19 @@ def v_fs(fw: float, fb: float) -> float:
     return fw - fb
 
 
-def v_xb(d: Dataset, centroids: np.ndarray, u: np.ndarray, m: float) -> float:
+def v_xb(fw: float, n: int, centroids: np.ndarray) -> float:
     """Xie-Beni index: FW / (n * min pairwise squared centroid distance);
-    minimize. Coincident centroids give +inf."""
+    minimize. FW is the FCM objective of the partition, so the fit's own
+    value serves. Coincident centroids give +inf."""
     centroids = np.asarray(centroids, dtype=float)
     if centroids.shape[0] < 2:
         raise ValueError("index needs at least 2 centroids")
-    fw = fuzzy_within(d.points, centroids, u, m)
     cd2 = sq_dists(centroids, centroids)
     np.fill_diagonal(cd2, np.inf)
     sep = float(cd2.min())
     if sep == 0.0:
         return float("inf")
-    return fw / (d.n * sep)
+    return fw / (n * sep)
 
 
 def v_tsfd(fb: float, fi: float) -> float:
@@ -138,17 +139,18 @@ def v_tsfd(fb: float, fi: float) -> float:
     return min(max(direct, 0.0), 1.0)
 
 
-def score_partition(d: Dataset, centroids: np.ndarray, u: np.ndarray, m: float,
+def score_partition(n: int, centroids: np.ndarray, u: np.ndarray,
                     fw: float, fb: float, fi: float) -> ValidityScores:
-    """Evaluate all seven indices on a partition: its centroids, membership
-    matrix, fuzziness and inertia decomposition FI = FW + FB. Zero FW is
-    flagged "zero_fw" and coincident centroids "coincident_centroids"."""
+    """Evaluate all seven indices on a partition of n points: its
+    centroids, membership matrix and inertia decomposition FI = FW + FB.
+    Zero FW is flagged "zero_fw" and coincident centroids
+    "coincident_centroids"."""
     flags = []
     fratio = v_fratio(fb, fw)
-    fch = v_fch(fb, fw, d.n, len(centroids))
+    fch = v_fch(fb, fw, n, len(centroids))
     if np.isinf(fratio):
         flags.append("zero_fw")
-    xb = v_xb(d, centroids, u, m)
+    xb = v_xb(fw, n, centroids)
     if np.isinf(xb):
         flags.append("coincident_centroids")
     return ValidityScores(
@@ -165,5 +167,5 @@ def score_partition(d: Dataset, centroids: np.ndarray, u: np.ndarray, m: float,
 
 def score_result(d: Dataset, result: FcmResult) -> ValidityScores:
     """Evaluate all seven indices on the final state of a run."""
-    return score_partition(d, result.centroids, result.membership, result.m,
+    return score_partition(d.n, result.centroids, result.membership,
                            result.fw, result.fb, result.fi)

@@ -65,7 +65,7 @@ def test_minimal_protocol():
     ds = small_synthetic()
     report = run_comparison([(ds, 3)], methods=["maxmin_linear"], master_seed=1)
     cell = report.cells[ds.name]["maxmin_linear"]
-    assert set(cell["values"]) == set(CRITERIA)
+    assert list(cell["values"]) == list(CRITERIA)
     assert cell["error"] is None
     assert cell["rng_seed"] is None  # deterministic method ignores the master seed
 
@@ -290,6 +290,18 @@ def test_load_manifest(tmp_path, ruspini_like):
     assert jobs[2].error is not None and jobs[2].dataset is None
     assert "must be an object" in jobs[3].error and jobs[3].dataset is None
     assert "name must be a string" in jobs[4].error and jobs[4].dataset is None
+
+
+def test_load_manifest_non_string_path_is_errored_job(tmp_path):
+    manifest = [
+        {"name": "int_path", "expected_k": 2, "path": 5},
+        {"name": "noised", "expected_k": 2,
+         "generator": {"kind": "skewed_noise", "base": {"path": ["a.csv"]}}},
+    ]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    jobs = load_manifest(tmp_path / "manifest.json")
+    assert [j.name for j in jobs] == ["int_path", "noised"]
+    assert all("path must be a string" in j.error and j.dataset is None for j in jobs)
 
 
 def test_full_grid_cell_count():

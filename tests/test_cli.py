@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fuzzseed import write_csv
 from fuzzseed.cli import main
+from fuzzseed.engine import sq_dists
 
 from .conftest import make_ruspini_like
 
@@ -106,11 +108,12 @@ def huge_csv(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_overflowing_data_is_engine_error(capsys, huge_csv):
-    code, out, err = run_cli(capsys, "fit", "--data", str(huge_csv), "--k", "3",
-                             "--method", "maxmin_linear")
-    assert code == 2
-    assert out == ""
-    assert "non-finite" in err
+    for method in ("maxmin_linear", "kmeanspp"):
+        code, out, err = run_cli(capsys, "fit", "--data", str(huge_csv), "--k", "3",
+                                 "--method", method, "--seed", "1")
+        assert code == 2, method
+        assert out == ""
+        assert "non-finite" in err and "overflow float64" in err
 
 
 def test_fit_writes_result_and_membership(capsys, tmp_path, ruspini_csv):
@@ -157,6 +160,21 @@ def test_validate_recomputes_membership_when_absent(capsys, tmp_path, ruspini_cs
     assert code == 0
     assert "recomputing" in err
     assert 0.0 <= json.loads(out)["tsfd"] <= 1.0
+
+
+def test_validate_without_membership_scores_xb_on_result_fw(capsys, tmp_path, ruspini_csv):
+    # XB, like FRatio, FCH, FS and TSFD, scores the FW the result file
+    # reports, not one recomputed from the memberships.
+    out_json = tmp_path / "fit.json"
+    run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
+            "--k", "4", "--method", "maxmin_linear", "--out", str(out_json))
+    code, out, _ = run_cli(capsys, "validate", "--result", str(out_json),
+                           "--data", str(ruspini_csv), "--label-column", "label")
+    assert code == 0
+    fit = json.loads(out_json.read_text())
+    cd2 = sq_dists(np.array(fit["centroids"]), np.array(fit["centroids"]))
+    np.fill_diagonal(cd2, np.inf)
+    assert json.loads(out)["xb"] == fit["fw"] / (fit["n"] * float(cd2.min()))
 
 
 def test_validate_mismatched_data(capsys, tmp_path, ruspini_csv, line5):
@@ -268,11 +286,12 @@ def test_bench_overflowing_dataset_is_errored_cell(capsys, tmp_path, huge_csv):
     manifest.append({"name": "huge", "expected_k": 3, "path": str(huge_csv)})
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
+    methods = ["maxmin_linear", "macqueen2", "kmeanspp", "kmeanspp_x10"]
     code, out, _ = run_cli(capsys, "bench", "--manifest", str(path), "--out",
                            str(tmp_path / "rep"), "--seed", "3",
-                           "--methods", "maxmin_linear,macqueen2")
+                           "--methods", ",".join(methods))
     assert code == 0
-    assert json.loads(out)["warnings"] == 2
+    assert json.loads(out)["warnings"] == 4
 
     def reject(constant):
         raise ValueError(f"bare {constant} in report.json")
@@ -281,7 +300,7 @@ def test_bench_overflowing_dataset_is_errored_cell(capsys, tmp_path, huge_csv):
                         parse_constant=reject)
     for cell in report["cells"]["huge"].values():
         assert cell["values"] is None and "non-finite" in cell["error"]
-    assert report["ranks"]["huge"]["fw"] == {"maxmin_linear": 1.5, "macqueen2": 1.5}
+    assert report["ranks"]["huge"]["fw"] == {m: 2.5 for m in methods}
 
 
 def test_bench_rejects_unknown_method(capsys, tmp_path):
@@ -290,3 +309,27 @@ def test_bench_rejects_unknown_method(capsys, tmp_path):
                          "--out", str(tmp_path / "rep"), "--seed", "2",
                          "--methods", "maxmin_linear,pca_part")
     assert code == 1
+
+
+def test_bench_formats(capsys, tmp_path):
+    manifest = write_bench_manifest(tmp_path)
+    base = ("bench", "--manifest", str(manifest), "--seed", "2", "--methods", "maxmin_linear")
+
+    code, out, err = run_cli(capsys, *base, "--out", str(tmp_path / "xml"), "--formats", "xml")
+    assert code == 1
+    assert "xml" in err and out == ""
+    assert not (tmp_path / "xml").exists()  # rejected before the grid runs
+
+    code, out, _ = run_cli(capsys, *base, "--out", str(tmp_path / "csv"), "--formats", "csv")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["report"] is None
+    assert not (tmp_path / "csv" / "report.json").exists()
+    assert summary["files"] and all(name.endswith(".csv") for name in summary["files"])
+
+    code, out, _ = run_cli(capsys, *base, "--out", str(tmp_path / "md"),
+                           "--formats", "json,markdown")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["report"] == str(tmp_path / "md" / "report.json")
+    assert {Path(name).suffix for name in summary["files"]} == {".json", ".md"}

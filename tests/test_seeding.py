@@ -112,6 +112,23 @@ def test_kmeanspp_distinct_indices():
     assert len(set(ss.source_indices)) == 8
 
 
+def test_kmeanspp_evals_and_pinned_draws(ruspini_like):
+    # one n-pass per seed except the last; the pinned draws fix the RNG
+    # stream of these seeds
+    pinned = {
+        0: (63, 14, 20, 7, 57),
+        1: (35, 68, 5, 67, 47),
+        2: (62, 14, 52, 21, 37),
+        3: (60, 11, 54, 33, 14),
+        42: (6, 42, 70, 55, 18),
+    }
+    for seed, indices in pinned.items():
+        ss = seed_kmeanspp(ruspini_like, 5, seed=seed)
+        assert ss.source_indices == indices
+        assert ss.distance_evals == ruspini_like.n * (5 - 1)
+    assert seed_kmeanspp(ruspini_like, 1, seed=0).distance_evals == 0
+
+
 def test_repeated_r1_matches_single_run(line3):
     cfg = FcmConfig()
     seeds, res = seed_repeated("macqueen2", line3, 2, r=1, seed=77, cfg=cfg)

@@ -5,6 +5,8 @@ from fuzzseed import (
     Dataset,
     FcmConfig,
     INDEX_DIRECTIONS,
+    fit_method,
+    fuzzy_within,
     run_fcm,
     score_result,
     update_centroids,
@@ -16,6 +18,7 @@ from fuzzseed import (
     v_tsfd,
     v_xb,
 )
+from fuzzseed.engine import sq_dists
 from .helpers import random_membership
 
 
@@ -114,19 +117,20 @@ def test_xb_matches_direct_formula():
         for a in range(3)
         for b in range(a + 1, 3)
     ]
-    assert v_xb(d, centroids, u, 2.0) == pytest.approx(fw / (12 * min(seps)), rel=1e-12)
+    assert v_xb(fw, d.n, centroids) == pytest.approx(fw / (12 * min(seps)), rel=1e-12)
 
 
 def test_xb_zero_when_points_sit_on_centroids():
     d = Dataset(points=[[0.0], [2.0]], name="t")
     u = np.eye(2)
-    assert v_xb(d, d.points, u, 2.0) == 0.0
+    assert v_xb(fuzzy_within(d.points, d.points, u, 2.0), d.n, d.points) == 0.0
 
 
 def test_xb_identical_centroids_is_inf():
     d = Dataset(points=[[0.0], [2.0]], name="t")
     c = np.array([[1.0], [1.0]])
-    assert np.isinf(v_xb(d, c, np.full((2, 2), 0.5), 2.0))
+    fw = fuzzy_within(d.points, c, np.full((2, 2), 0.5), 2.0)
+    assert np.isinf(v_xb(fw, d.n, c))
 
 
 def test_tsfd_values():
@@ -177,7 +181,8 @@ def test_column_permutation_invariance():
     perm = rng.permutation(4)
     assert v_pc(u[:, perm]) == pytest.approx(v_pc(u), abs=1e-15)
     assert v_cl(u[:, perm]) == pytest.approx(v_cl(u), abs=1e-12)
-    assert v_xb(d, c[perm], u[:, perm], 2.0) == pytest.approx(v_xb(d, c, u, 2.0), rel=1e-12)
+    permuted = v_xb(fuzzy_within(points, c[perm], u[:, perm], 2.0), d.n, c[perm])
+    assert permuted == pytest.approx(v_xb(fuzzy_within(points, c, u, 2.0), d.n, c), rel=1e-12)
 
 
 def test_score_result_end_to_end(two_pairs):
@@ -189,6 +194,30 @@ def test_score_result_end_to_end(two_pairs):
     assert scores.flags == ()
     payload = scores.to_dict()
     assert set(payload) == {"pc", "cl", "fratio", "fch", "fs", "xb", "tsfd", "flags"}
+
+
+def min_separation(centroids):
+    cd2 = sq_dists(centroids, centroids)
+    np.fill_diagonal(cd2, np.inf)
+    return float(cd2.min())
+
+
+def test_score_result_xb_uses_the_fits_own_fw():
+    # XB's numerator is the FCM objective: the FW a fit reports is the FW
+    # of its final centroids and memberships, bit for bit, also for the
+    # winner of a relaunch strategy and on data with duplicate rows.
+    rng = np.random.default_rng(9)
+    for trial in range(12):
+        n, p, k = int(rng.integers(12, 60)), int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        points = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-2, 3)
+        points[: n // 4] = points[n // 4: 2 * (n // 4)]  # duplicate rows
+        d = Dataset(points=points, name=f"t{trial}")
+        method = ("maxmin_linear", "kmeanspp", "faber", "kmeanspp_x10")[trial % 4]
+        m = (1.5, 2.0, 3.0)[trial % 3]
+        _, r = fit_method(d, k, method, cfg=FcmConfig(m=m), seed=trial)
+        fw = fuzzy_within(points, r.centroids, r.membership, r.m)
+        assert fw == r.fw
+        assert score_result(d, r).xb == fw / (n * min_separation(r.centroids))
 
 
 def test_scores_serialize_inf_sentinel():
