@@ -9,6 +9,7 @@ byte-identical across runs and parallelism settings.
 """
 
 import json
+import numbers
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -146,7 +147,9 @@ def load_manifest(path) -> list[BenchJob]:
             continue
         name = entry.get("name", f"dataset_{i}")
         try:
-            expected_k = int(entry["expected_k"])
+            expected_k = entry["expected_k"]
+            if isinstance(expected_k, bool) or not isinstance(expected_k, numbers.Integral):
+                raise ValueError(f"expected_k must be an integer, got {type(expected_k).__name__}")
             if "path" in entry:
                 ds = load_csv_source(entry, path.parent)
             elif "generator" in entry:

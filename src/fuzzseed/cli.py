@@ -9,6 +9,7 @@ always echoed in the output.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -23,10 +24,6 @@ from .seeding import DEFAULT_BENCH_METHODS, STOCHASTIC, STRATEGIES, fit_method, 
 from .synth import dataset_from_spec
 from .bench import FORMATS, load_manifest, rank_methods, run_comparison, write_report
 from .validity import score_partition
-
-
-class UsageError(Exception):
-    """Bad flag values; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,10 +107,7 @@ def build_parser() -> _Parser:
 
 
 def _make_config(args) -> FcmConfig:
-    try:
-        return FcmConfig(m=args.m, epsilon=args.epsilon, max_iterations=args.max_iter)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return FcmConfig(m=args.m, epsilon=args.epsilon, max_iterations=args.max_iter)
 
 
 def cmd_seed(args) -> int:
@@ -140,17 +134,13 @@ def cmd_fit(args) -> int:
         f"iterations={result.iterations} fw={result.fw!r} "
         f"fb={result.fb!r} fi={result.fi!r}"
     )
-    if args.out:
-        _emit(payload, args.out)
-        sys.stdout.write(summary + "\n")
-    else:
-        _emit(payload, None)
-        print(summary, file=sys.stderr)
+    _emit(payload, args.out)
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     if args.membership_out:
-        with open(args.membership_out, "w") as fh:
-            fh.write(",".join(f"u{j + 1}" for j in range(result.k)) + "\n")
-            for row in result.membership:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        with open(args.membership_out, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(f"u{j + 1}" for j in range(result.k))
+            writer.writerows(result.membership.tolist())
     return 0
 
 
@@ -168,7 +158,7 @@ def cmd_validate(args) -> int:
         centroids = np.array(payload["centroids"], dtype=float)
         m = float(payload["m"])
         fw, fb, fi = (float(payload[key]) for key in ("fw", "fb", "fi"))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"cannot read result {args.result}: {exc}") from exc
     if centroids.ndim != 2 or centroids.shape[1] != ds.p:
         raise DataError(
@@ -192,10 +182,7 @@ def cmd_generate(args) -> int:
         spec = json.loads(Path(args.spec).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read spec {args.spec}: {exc}") from exc
-    try:
-        ds = dataset_from_spec(spec, base_dir=Path(args.spec).parent)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ds = dataset_from_spec(spec, base_dir=Path(args.spec).parent)
     write_csv(ds, args.out)
     _emit(
         {
@@ -216,14 +203,14 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = [m for m in methods if m not in STRATEGIES]
     if unknown:
-        raise UsageError(f"unknown methods: {unknown}")
+        raise ValueError(f"unknown methods: {unknown}")
     aliases = {"markdown": "md", "markdown-table": "md"}
     formats = tuple(
         aliases.get(f.strip(), f.strip()) for f in args.formats.split(",") if f.strip()
     )
     unknown = [f for f in formats if f not in FORMATS]
     if unknown:
-        raise UsageError(f"unknown formats: {unknown}; choose from {', '.join(FORMATS)}")
+        raise ValueError(f"unknown formats: {unknown}; choose from {', '.join(FORMATS)}")
     seed = _effective_seed(args)
     if seed is None:
         seed = fresh_seed()
@@ -270,7 +257,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"fuzzseed: error: {exc}", file=sys.stderr)
         return 1
     except (DataError, EngineError, OSError) as exc:

@@ -63,12 +63,21 @@ class Dataset:
         return self.points.shape[1]
 
 
-def _parse_float(cell: str):
+def _floats(cells) -> np.ndarray | None:
+    """The cells as finite floats, or None if any is not one. numpy reads
+    each string as float() does (underscores, Unicode digits, padding)."""
     try:
-        value = float(cell)
+        values = np.array(cells, dtype=float)
     except ValueError:
         return None
-    return value if np.isfinite(value) else None
+    return values if np.isfinite(values).all() else None
+
+
+def _bad_label(value: float) -> str | None:
+    """What is wrong with a label value, if anything: labels are int64 ids."""
+    if not value.is_integer():
+        return "non-integer"
+    return "out-of-range" if abs(value) >= 2**63 else None
 
 
 def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dataset:
@@ -76,11 +85,11 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
 
     The first row is treated as a header when any of its cells fails to
     parse as a finite number. `label_column` names a header column holding
-    integer class ids; it is excluded from the feature matrix. Decimal
-    point only; missing values are rejected.
+    integer class ids of magnitude below 2**63; it is excluded from the
+    feature matrix. Decimal point only; missing values are rejected.
 
     Raises DataError with a 1-based file line / column location for any
-    unreadable file, ragged row, or non-numeric cell.
+    unreadable file, ragged row, non-numeric cell or bad label.
     """
     try:
         with open(path, newline="") as fh:
@@ -92,7 +101,7 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
         raise DataError(f"{path}: file contains no data")
 
     first = numbered[0][1]
-    has_header = any(_parse_float(cell) is None for cell in first)
+    has_header = _floats(first) is None
     header = [cell.strip() for cell in first] if has_header else None
     data_rows = numbered[1:] if has_header else numbered
     if not data_rows:
@@ -105,33 +114,32 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
         label_idx = header.index(label_column)
 
     width = len(first)
-    points, labels = [], []
+    table = []
     for line, row in data_rows:
         if len(row) != width:
             raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
-        feats = []
-        for col, cell in enumerate(row, start=1):
-            value = _parse_float(cell.strip())
-            if value is None:
-                raise DataError(
-                    f"{path}: non-numeric cell {cell.strip()!r} at line {line}, column {col}"
-                )
-            if label_idx is not None and col - 1 == label_idx:
-                if value != int(value):
+        cells = [cell.strip() for cell in row]  # strip also drops \x1c-\x1f; float() does not
+        values = _floats(cells)
+        if values is None or (label_idx is not None and _bad_label(values[label_idx])):
+            # name the row's first defect, walking its cells left to right
+            for col, cell in enumerate(cells, start=1):
+                value = _floats([cell])
+                if value is None:
                     raise DataError(
-                        f"{path}: non-integer label {cell.strip()!r} at line {line}"
+                        f"{path}: non-numeric cell {cell!r} at line {line}, column {col}"
                     )
-                labels.append(int(value))
-            else:
-                feats.append(value)
-        points.append(feats)
+                problem = col - 1 == label_idx and _bad_label(value[0])
+                if problem:
+                    raise DataError(f"{path}: {problem} label {cell!r} at line {line}")
+        table.append(values)
 
+    points = np.array(table)
+    labels = None
+    if label_idx is not None:
+        labels = points[:, label_idx].astype(int)
+        points = np.delete(points, label_idx, axis=1)
     name = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(
-        points=np.array(points, dtype=float),
-        labels=np.array(labels, dtype=int) if label_idx is not None else None,
-        name=name,
-    )
+    return Dataset(points=points, labels=labels, name=name)
 
 
 def load_csv_source(source: dict, base_dir) -> Dataset:
@@ -153,17 +161,16 @@ def write_csv(d: Dataset, path) -> None:
     load_csv(write_csv(d)) reproduces the exact values.
     """
     header = [f"x{j + 1}" for j in range(d.p)]
+    rows = d.points.tolist()
     if d.labels is not None:
         header.append("label")
+        for row, label in zip(rows, d.labels.tolist()):
+            row.append(label)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in range(d.n):
-                row = [repr(float(v)) for v in d.points[i]]
-                if d.labels is not None:
-                    row.append(str(int(d.labels[i])))
-                writer.writerow(row)
+            writer.writerows(rows)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 

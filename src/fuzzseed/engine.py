@@ -26,6 +26,12 @@ class CollapsedClusterError(EngineError):
     """A cluster received zero total membership mass."""
 
 
+# For routines whose overflowing squared distances end in an EngineError:
+# numpy's warnings would only repeat it. numpy keeps this state per
+# context, so a decorated call made by a bench worker thread is covered.
+quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True)
 class FcmConfig:
     """Iteration parameters: fuzziness m > 1, relative-FW tolerance, cap."""
@@ -183,6 +189,7 @@ def _inertia(points: np.ndarray, row_mass: np.ndarray) -> float:
     return float((row_mass * d2).sum())
 
 
+@quiet_overflow
 def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     """Alternate membership/centroid updates from the given seeds.
 
@@ -190,7 +197,8 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     FW of exactly 0 counts as converged) or at cfg.max_iterations. One
     iteration is one completed membership+centroid cycle; FW is recorded
     after each cycle. A non-finite FW or centroid (squared distances that
-    overflow float64) raises EngineError.
+    overflow float64) raises EngineError, and so do n identical points,
+    which admit no partition (FI = 0).
 
     `seeds` is a SeedSet or anything with a `.centroids` (K, p) array;
     a bare array works too.
@@ -210,6 +218,8 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
         )
 
     points = d.points
+    if (points == points[0]).all():
+        raise EngineError(f"all {n} points are identical: there is no partition to fit")
     m = cfg.m
     # The distances that give FW for one cycle are the ones the next
     # cycle's membership update needs: one distance pass per cycle.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import SCHEMA, Dataset
-from .engine import EngineError, FcmConfig, FcmResult, run_fcm, sq_dists
+from .engine import EngineError, FcmConfig, FcmResult, quiet_overflow, run_fcm, sq_dists
 from .rng import RNG_NAME, derive_seed, fresh_seed, make_rng
 
 # Default comparison set; the quadratic maxmin oracle is excluded.
@@ -110,6 +110,7 @@ def seed_macqueen2(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     )
 
 
+@quiet_overflow
 def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     """d^2-weighted seeding: first seed uniform, each next one drawn with
     probability proportional to its squared distance to the nearest seed.
@@ -212,6 +213,7 @@ def seed_maxmin_quadratic(d: Dataset, k: int) -> SeedSet:
     )
 
 
+@quiet_overflow  # run_fcm then rejects overflowing data
 def seed_maxmin_linear(d: Dataset, k: int) -> SeedSet:
     """Linear MaxMin: first seed nearest the grand mean, second farthest
     from the first, remaining seeds by farthest-from-nearest-seed.

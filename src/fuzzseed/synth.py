@@ -7,7 +7,8 @@ around each label's gravity center, below it with a small probability
 and above it otherwise.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +24,19 @@ __all__ = [
 ]
 
 
+def _check_types(spec, integers: tuple, reals: tuple) -> None:
+    """Raise ValueError naming the first field of the wrong JSON type (a
+    string, list or bool where a number belongs); rng_seed may be None."""
+    for name in integers + reals:
+        value = getattr(spec, name)
+        kind = numbers.Integral if name in integers else numbers.Real
+        if (isinstance(value, bool) or not isinstance(value, kind)) and not (
+            name == "rng_seed" and value is None
+        ):
+            what = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """k clusters of `size` points each; cluster i ~ Normal(i, sigma) per
@@ -36,6 +50,7 @@ class GaussianSpec:
     name: str | None = None
 
     def __post_init__(self):
+        _check_types(self, ("k", "size", "dims", "rng_seed"), ("sigma",))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.size < 1:
@@ -58,6 +73,8 @@ class NoiseSpec:
     rng_seed: int | None = None
 
     def __post_init__(self):
+        _check_types(self, ("points_per_label", "rng_seed"),
+                     ("left_fraction", "spread_multiplier"))
         if self.points_per_label < 1:
             raise ValueError(f"points_per_label must be >= 1, got {self.points_per_label}")
         if not 0.0 < self.left_fraction < 1.0:
@@ -111,6 +128,11 @@ def add_skewed_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
     )
 
 
+def _spec_args(cls, spec: dict) -> dict:
+    """The fields of `cls` a JSON spec sets; the others keep their defaults."""
+    return {f.name: spec[f.name] for f in fields(cls) if f.name in spec}
+
+
 def dataset_from_spec(spec: dict, base_dir=".") -> Dataset:
     """Build a dataset from a JSON generator spec.
 
@@ -120,19 +142,18 @@ def dataset_from_spec(spec: dict, base_dir=".") -> Dataset:
 
     The base of a skewed_noise spec is either {"path", "label_column"?,
     "delimiter"?} (resolved against base_dir) or another generator spec.
-    Invalid parameter values raise ValueError.
+    Invalid parameter values, or values of the wrong type, raise
+    ValueError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("generator spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "gaussian_clusters":
-        fields = {k: spec[k] for k in ("k", "size", "sigma", "dims") if k in spec}
-        missing = {"k", "size", "sigma", "dims"} - fields.keys()
+        args = _spec_args(GaussianSpec, spec)
+        missing = {"k", "size", "sigma", "dims"} - args.keys()
         if missing:
             raise ValueError(f"gaussian_clusters spec missing {sorted(missing)}")
-        return gen_gaussian_clusters(
-            GaussianSpec(rng_seed=spec.get("rng_seed"), name=spec.get("name"), **fields)
-        )
+        return gen_gaussian_clusters(GaussianSpec(**args))
     if kind == "skewed_noise":
         base = spec.get("base")
         if not isinstance(base, dict):
@@ -141,11 +162,5 @@ def dataset_from_spec(spec: dict, base_dir=".") -> Dataset:
             base_ds = load_csv_source(base, base_dir)
         else:
             base_ds = dataset_from_spec(base, base_dir=base_dir)
-        noise = NoiseSpec(
-            points_per_label=spec.get("points_per_label", 5),
-            left_fraction=spec.get("left_fraction", 0.25),
-            spread_multiplier=spec.get("spread_multiplier", 2.0),
-            rng_seed=spec.get("rng_seed"),
-        )
-        return add_skewed_noise(base_ds, noise)
+        return add_skewed_noise(base_ds, NoiseSpec(**_spec_args(NoiseSpec, spec)))
     raise ValueError(f"unknown generator kind {kind!r}")

@@ -54,3 +54,67 @@ def random_instance(rng, max_n=30, max_k=6, max_p=4):
     points = rng.normal(size=(n, p))
     centroids = rng.normal(size=(k, p))
     return points, centroids
+
+
+def reference_load_csv(path, label_column=None, delimiter=","):
+    """load_csv cell by cell: float() and isfinite on every cell, labels
+    checked where they are met. Same contract and messages as load_csv."""
+    import csv
+    import math
+    import os
+
+    from fuzzseed import DataError, Dataset
+
+    def parse(cell):
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh, delimiter=delimiter))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    numbered = [(i + 1, row) for i, row in enumerate(rows) if row]
+    if not numbered:
+        raise DataError(f"{path}: file contains no data")
+    first = numbered[0][1]
+    has_header = any(parse(cell) is None for cell in first)
+    header = [cell.strip() for cell in first] if has_header else None
+    data_rows = numbered[1:] if has_header else numbered
+    if not data_rows:
+        raise DataError(f"{path}: no data rows after header")
+    label_idx = None
+    if label_column is not None:
+        if header is None or label_column not in header:
+            raise DataError(f"{path}: label column {label_column!r} not found in header")
+        label_idx = header.index(label_column)
+
+    width = len(first)
+    points, labels = [], []
+    for line, row in data_rows:
+        if len(row) != width:
+            raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
+        feats = []
+        for col, cell in enumerate(row, start=1):
+            value = parse(cell.strip())
+            if value is None:
+                raise DataError(
+                    f"{path}: non-numeric cell {cell.strip()!r} at line {line}, column {col}"
+                )
+            if col - 1 == label_idx:
+                if value != int(value):
+                    raise DataError(f"{path}: non-integer label {cell.strip()!r} at line {line}")
+                if abs(value) >= 2**63:
+                    raise DataError(f"{path}: out-of-range label {cell.strip()!r} at line {line}")
+                labels.append(int(value))
+            else:
+                feats.append(value)
+        points.append(feats)
+    return Dataset(
+        points=np.array(points, dtype=float),
+        labels=np.array(labels, dtype=int) if label_idx is not None else None,
+        name=os.path.splitext(os.path.basename(str(path)))[0],
+    )

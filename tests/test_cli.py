@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from fuzzseed import write_csv
 from fuzzseed.cli import main
 from fuzzseed.engine import sq_dists
+from fuzzseed.seeding import STRATEGIES
 
 from .conftest import make_ruspini_like
 
@@ -106,7 +108,6 @@ def huge_csv(tmp_path):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_overflowing_data_is_engine_error(capsys, huge_csv):
     for method in ("maxmin_linear", "kmeanspp"):
         code, out, err = run_cli(capsys, "fit", "--data", str(huge_csv), "--k", "3",
@@ -114,6 +115,62 @@ def test_fit_overflowing_data_is_engine_error(capsys, huge_csv):
         assert code == 2, method
         assert out == ""
         assert "non-finite" in err and "overflow float64" in err
+
+
+def test_overflowing_data_prints_no_numpy_warning(capsys, tmp_path, huge_csv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for method in STRATEGIES:
+            code, out, err = run_cli(capsys, "fit", "--data", str(huge_csv), "--k", "3",
+                                     "--method", method, "--seed", "1")
+            assert (code, out) == (2, ""), method
+            assert "non-finite" in err and "Warning" not in err
+        manifest = json.loads(write_bench_manifest(tmp_path).read_text())
+        manifest.append({"name": "huge", "expected_k": 3, "path": str(huge_csv)})
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, "bench", "--manifest", str(path), "--out",
+                                     str(tmp_path / f"rep{jobs}"), "--seed", "3",
+                                     "--jobs", jobs, "--methods", ",".join(STRATEGIES))
+            assert code == 0 and json.loads(out)["warnings"] == len(STRATEGIES)
+            assert "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("rows", ["1,1\n1,1\n1,1\n1,1\n", "0.1,0.7\n0.1,0.7\n0.1,0.7\n"])
+def test_fit_identical_points_is_engine_error(capsys, tmp_path, rows):
+    data = tmp_path / "same.csv"
+    data.write_text(rows)
+    for method in ("maxmin_linear", "faber"):
+        code, out, err = run_cli(capsys, "fit", "--data", str(data), "--k", "2",
+                                 "--method", method, "--seed", "1")
+        assert (code, out) == (2, ""), method
+        assert "points are identical" in err
+
+
+def test_bench_identical_points_is_errored_cell(capsys, tmp_path):
+    (tmp_path / "same.csv").write_text("1,1\n1,1\n1,1\n1,1\n")
+    manifest = json.loads(write_bench_manifest(tmp_path).read_text())
+    manifest.append({"name": "same", "expected_k": 2, "path": "same.csv"})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, out, _ = run_cli(capsys, "bench", "--manifest", str(path), "--out",
+                           str(tmp_path / "rep"), "--seed", "3",
+                           "--methods", "maxmin_linear,kmeanspp_x10")
+    assert code == 0 and json.loads(out)["warnings"] == 2
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    for cell in report["cells"]["same"].values():
+        assert cell["values"] is None and "points are identical" in cell["error"]
+
+
+def test_fit_label_outside_int64_range_is_data_error(capsys, tmp_path):
+    data = tmp_path / "big.csv"
+    data.write_text("x,label\n1.0,1e300\n2.0,1\n3,2\n")
+    code, out, err = run_cli(capsys, "fit", "--data", str(data), "--label-column", "label",
+                             "--k", "2", "--method", "maxmin_linear")
+    assert (code, out) == (2, "")
+    assert "out-of-range label '1e300' at line 2" in err
 
 
 def test_fit_writes_result_and_membership(capsys, tmp_path, ruspini_csv):
@@ -187,6 +244,18 @@ def test_validate_mismatched_data(capsys, tmp_path, ruspini_csv, line5):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("bad", [{"centroids": [[0.0, 1.0], [2.0]]}, {"m": "abc"}])
+def test_validate_malformed_result_is_data_error(capsys, tmp_path, ruspini_csv, bad):
+    out_json = tmp_path / "fit.json"
+    run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
+            "--k", "4", "--method", "maxmin_linear", "--out", str(out_json))
+    out_json.write_text(json.dumps({**json.loads(out_json.read_text()), **bad}))
+    code, out, err = run_cli(capsys, "validate", "--result", str(out_json),
+                             "--data", str(ruspini_csv), "--label-column", "label")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fuzzseed: cannot read result {out_json}: ")
+
+
 def test_validate_non_numeric_membership_is_data_error(capsys, tmp_path, ruspini_csv):
     out_json = tmp_path / "fit.json"
     out_u = tmp_path / "u.csv"
@@ -229,6 +298,21 @@ def test_generate_rejects_bad_sigma(capsys, tmp_path):
                            str(tmp_path / "x.csv"))
     assert code == 1
     assert "sigma" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("k", "3", "k must be an integer, got str"),
+    ("dims", 2.5, "dims must be an integer, got float"),
+])
+def test_generate_rejects_wrong_field_type(capsys, tmp_path, field, value, message):
+    spec = {"kind": "gaussian_clusters", "k": 3, "size": 5, "sigma": 0.3, "dims": 2}
+    spec[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "generate", "--spec", str(path), "--out",
+                             str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == f"fuzzseed: error: {message}\n"
 
 
 def write_bench_manifest(tmp_path, include_broken=False):
@@ -280,7 +364,6 @@ def test_bench_with_broken_dataset_warns_but_succeeds(capsys, tmp_path):
     assert "broken" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bench_overflowing_dataset_is_errored_cell(capsys, tmp_path, huge_csv):
     manifest = json.loads(write_bench_manifest(tmp_path).read_text())
     manifest.append({"name": "huge", "expected_k": 3, "path": str(huge_csv)})
@@ -301,6 +384,28 @@ def test_bench_overflowing_dataset_is_errored_cell(capsys, tmp_path, huge_csv):
     for cell in report["cells"]["huge"].values():
         assert cell["values"] is None and "non-finite" in cell["error"]
     assert report["ranks"]["huge"]["fw"] == {m: 2.5 for m in methods}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"generator": {"k": "3"}}, "k must be an integer, got str"),
+    ({"generator": {"dims": 2.5}}, "dims must be an integer, got float"),
+    ({"generator": {"rng_seed": "z"}}, "rng_seed must be an integer, got str"),
+    ({"expected_k": [2]}, "expected_k must be an integer, got list"),
+])
+def test_bench_wrong_field_type_is_errored_job(capsys, tmp_path, entry, message):
+    generator = {"kind": "gaussian_clusters", "k": 2, "size": 6, "sigma": 0.3, "dims": 2,
+                 "rng_seed": 9, **entry.get("generator", {})}
+    bad = {"name": "bad", "expected_k": entry.get("expected_k", 2), "generator": generator}
+    manifest = json.loads(write_bench_manifest(tmp_path).read_text()) + [bad]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(path), "--out",
+                             str(tmp_path / "rep"), "--seed", "3",
+                             "--methods", "maxmin_linear,macqueen2")
+    assert code == 0 and json.loads(out)["warnings"] == 2
+    assert f"warning: bad/maxmin_linear: {message}" in err
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert all(cell["error"] is None for cell in report["cells"]["blob0"].values())
 
 
 def test_bench_rejects_unknown_method(capsys, tmp_path):

@@ -296,8 +296,17 @@ def test_run_fcm_one_distance_pass_per_cycle(monkeypatch):
     assert res.iterations == 7
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_fcm_non_finite_is_engine_error():
     points = np.random.default_rng(12).normal(size=(30, 2)) * 1e200
     with pytest.raises(EngineError, match="non-finite"):
         run_fcm(Dataset(points=points, name="huge"), points[:3], FcmConfig())
+
+
+def test_run_fcm_identical_points_is_engine_error():
+    # three copies of (0.1, 0.7) give FI = 1.9e-32, not 0, from the rounded
+    # grand mean: the rows are compared, not FI
+    for points in ([[1.0, 1.0]] * 4, [[0.1, 0.7]] * 3):
+        with pytest.raises(EngineError, match="all .* points are identical"):
+            run_fcm(Dataset(points=points, name="same"), points[:2], FcmConfig())
+    res = run_fcm(Dataset(points=[[0.0], [0.0], [1.0]], name="two"), [[0.0], [1.0]])
+    assert res.fw == 0.0
