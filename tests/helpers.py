@@ -56,6 +56,75 @@ def random_instance(rng, max_n=30, max_k=6, max_p=4):
     return points, centroids
 
 
+def reference_run_fcm(d, seeds, cfg=None):
+    """run_fcm as the point-major engine computed it: (n, k) distances
+    filled one centroid column at a time, memberships row by row, in the
+    data's own coordinates. The parity tests run the strategies on it and
+    on the library's engine and compare every fit."""
+    from fuzzseed import EngineError, FcmConfig, FcmResult
+    from fuzzseed.engine import CollapsedClusterError
+
+    def sq_dists(a, b):
+        out = np.empty((a.shape[0], b.shape[0]))
+        diff = np.empty_like(a)
+        for j, row in enumerate(b):
+            np.subtract(a, row, out=diff)
+            np.einsum("ij,ij->i", diff, diff, out=out[:, j])
+        return out
+
+    def membership(d2, m):
+        u = np.zeros_like(d2)
+        zero = d2 == 0.0
+        degenerate = zero.any(axis=1)
+        if degenerate.any():
+            hits = zero[degenerate]
+            u[degenerate] = hits / hits.sum(axis=1, keepdims=True)
+        regular = ~degenerate
+        if regular.any():
+            dr = d2[regular]
+            w = (dr / dr.min(axis=1, keepdims=True)) ** (-1.0 / (m - 1.0))
+            u[regular] = w / w.sum(axis=1, keepdims=True)
+        return u
+
+    cfg = cfg or FcmConfig()
+    centroids = np.array(getattr(seeds, "centroids", seeds), dtype=float)
+    points, m = d.points, cfg.m
+    if (points == points[0]).all():
+        raise EngineError(f"all {d.n} points are identical: there is no partition to fit")
+    d2 = sq_dists(points, centroids)
+    trace, prev_fw = [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iterations):
+            u = membership(d2, m)
+            um = u**m
+            mass = um.sum(axis=0)
+            if (mass == 0.0).any():
+                raise CollapsedClusterError("a cluster has zero membership mass")
+            centroids = (um.T @ points) / mass[:, None]
+            d2 = sq_dists(points, centroids)
+            fw = float((um * d2).sum())
+            if not (np.isfinite(fw) and np.isfinite(centroids).all()):
+                raise EngineError("non-finite FW or centroids")
+            trace.append(fw)
+            if prev_fw is not None and (prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon):
+                break
+            prev_fw = fw
+    xbar = points.mean(axis=0)
+    return FcmResult(
+        centroids=centroids,
+        membership=u,
+        iterations=len(trace),
+        objective_trace=trace,
+        fw=trace[-1],
+        fb=float((mass * ((centroids - xbar) ** 2).sum(axis=1)).sum()),
+        fi=float((um.sum(axis=1) * ((points - xbar) ** 2).sum(axis=1)).sum()),
+        method=getattr(seeds, "method", None),
+        dataset=d.name,
+        m=m,
+        epsilon=cfg.epsilon,
+    )
+
+
 def reference_load_csv(path, label_column=None, delimiter=","):
     """load_csv cell by cell: float() and isfinite on every cell, labels
     checked where they are met. Same contract and messages as load_csv."""

@@ -77,3 +77,34 @@ def test_cli_session_csv_metrics_are_all_traced(monkeypatch, tmp_path, capsys):
         assert layers.NAMED[name].fn(run) is not None, name
     # fit and validate load the data CSV, validate the membership CSV too
     assert len(run.ix.named("data.load_csv")) == 3
+
+
+def test_fit_large_named_metrics_are_all_traced(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+
+    n, k, t = 60, 3, 5
+    tracer = tracing.Tracer()
+    undo = tracer.install()
+    try:
+        # as the fit_large workload does: seed, a fixed number of FCM
+        # iterations, then score the fit
+        import fuzzseed as fz
+
+        ds = fz.gen_gaussian_clusters(fz.GaussianSpec(k=k, size=n // k, sigma=0.4, dims=3,
+                                                      rng_seed=5, name="fit"))
+        cfg = fz.FcmConfig(epsilon=1e-15, max_iterations=t)
+        tracer.op = 0
+        with tracer.step("op"):
+            result = fz.run_fcm(ds, fz.seed_maxmin_linear(ds, k), cfg)
+            fz.score_result(ds, result)
+    finally:
+        tracer.uninstall(undo)
+    assert result.iterations == t
+
+    run = layers.TracedRun(tracer.spans, probes={}, setups=1, traced=[1.0], untraced=[1.0])
+    values, missing = layers.named_metrics(run, "fit_large")
+    probed = {"engine.update_membership_s", "engine.update_centroids_s", "engine.fuzzy_within_s"}
+    assert set(missing) == probed
+    assert values["engine.dist_evals_per_iter"]["value"] == n * k * (t + 1) / t
