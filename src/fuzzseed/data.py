@@ -46,7 +46,14 @@ class Dataset:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            labs = np.array(self.labels, dtype=int)
+            try:
+                labs = np.array(self.labels, dtype=int)
+            except OverflowError:
+                flat = np.ravel(np.array(self.labels, dtype=object))
+                row = next(i for i, v in enumerate(flat) if not -(2**63) <= v < 2**63)
+                raise DataError(
+                    f"out-of-range label {flat[row]!r} at row {row + 1}: labels are int64 ids"
+                ) from None
             if labs.shape != (pts.shape[0],):
                 raise DataError(
                     f"labels length {labs.shape} does not match n={pts.shape[0]}"

@@ -9,6 +9,13 @@ scatter FI = sum u_ik^m d2(x_i, xbar) splits as FI = FW + FB whenever
 the centroids are the u^m-weighted means, with the between part
 FB = sum_k (sum_i u_ik^m) d2(c_k, xbar). All distances are squared
 Euclidean; no other metric is supported.
+
+The kernel works cluster-major: points as a C-ordered (p, n) array,
+distances, u and u^m as (k, n) arrays. run_fcm centres the points on
+their grand mean once and keeps its centroids centred until it returns
+them, so FW, FB and FI are summed from differences of the data's own
+scale whatever its offset. The public single-step functions run the same
+kernel on the coordinates they are given.
 """
 
 from dataclasses import dataclass
@@ -93,100 +100,116 @@ class FcmResult:
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (len(a), len(b)).
-
-    Fills one column per row of `b` from a single reused (len(a), p)
-    difference buffer, so the scratch memory is O(len(a) * p) and no
-    (len(a), len(b), p) tensor is built. Each entry is the same
-    sum-of-products over p as the broadcast einsum, bit for bit.
-    """
+    """Pairwise squared Euclidean distances, a C-ordered (len(a), len(b))
+    array; see _sq_dists_t. Each operand's columns are read as contiguous
+    rows of its transpose, which costs no copy for an F-ordered operand
+    such as run_fcm's centred points."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty((a.shape[0], b.shape[0]))
-    diff = np.empty_like(a)
-    for j, row in enumerate(b):
-        np.subtract(a, row, out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=out[:, j])
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]} features")
+    return _sq_dists_t(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+
+
+def _sq_dists_t(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """Squared distances between the columns of two (p, .) arrays.
+
+    Accumulates one feature at a time, (a_q - b_q)^2 added in feature
+    order, so the scratch memory is one output-sized buffer and no
+    (len(a), len(b), p) tensor is built. A point equal to a centroid gets
+    an exact 0, which the coincident-point rule relies on.
+    """
+    out = np.zeros((a_t.shape[1], b_t.shape[1]))
+    tmp = np.empty_like(out)
+    for a_q, b_q in zip(a_t, b_t):
+        np.subtract.outer(a_q, b_q, out=tmp)
+        tmp *= tmp
+        out += tmp
     return out
 
 
-def _membership(d2: np.ndarray, m: float) -> np.ndarray:
-    """Membership from squared point-to-centroid distances (see
-    update_membership); the one home of the coincident-point rule."""
-    u = np.zeros_like(d2)
-    zero = d2 == 0.0
-    degenerate = zero.any(axis=1)
-    if degenerate.any():
-        hits = zero[degenerate]
-        u[degenerate] = hits / hits.sum(axis=1, keepdims=True)
-    regular = ~degenerate
-    if regular.any():
-        dr = d2[regular]
-        w = (dr / dr.min(axis=1, keepdims=True)) ** (-1.0 / (m - 1.0))
-        u[regular] = w / w.sum(axis=1, keepdims=True)
-    return u
+def _cluster_major(a) -> np.ndarray:
+    """An (n, .) array as the C-ordered (., n) float array the kernel uses."""
+    return np.ascontiguousarray(np.asarray(a, dtype=float).T)
+
+
+def _fuzzify(d2: np.ndarray, m: float) -> np.ndarray:
+    """Memberships from (k, n) squared distances, written over `d2`; see
+    update_membership. The one home of the coincident-point rule."""
+    dmin = d2.min(axis=0)
+    coincident = np.flatnonzero(dmin == 0.0)
+    if coincident.size:
+        hits = d2[:, coincident] == 0.0
+        d2[:, coincident] = 1.0  # placeholders, overwritten below
+        dmin[coincident] = 1.0
+    d2 /= dmin
+    d2 **= -1.0 / (m - 1.0)
+    d2 /= d2.sum(axis=0)
+    if coincident.size:
+        d2[:, coincident] = hits / hits.sum(axis=0)
+    return d2
+
+
+def _centroids(points_t: np.ndarray, um: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """(k, p) centroids from (p, n) points, (k, n) u^m and its row sums;
+    a cluster of zero mass collapses."""
+    empty = np.flatnonzero(mass == 0.0)
+    if empty.size:
+        raise CollapsedClusterError(f"cluster {empty[0]} has zero membership mass")
+    return (um @ points_t.T) / mass[:, None]
+
+
+def _fw(um: np.ndarray, d2: np.ndarray) -> float:
+    return float((um * d2).sum())
+
+
+def _fb(points_t: np.ndarray, centroids: np.ndarray, mass: np.ndarray) -> float:
+    xbar = points_t.mean(axis=1)[:, None]
+    return float((mass * _sq_dists_t(centroids.T, xbar)[:, 0]).sum())
+
+
+def _fi(points_t: np.ndarray, row_mass: np.ndarray) -> float:
+    xbar = points_t.mean(axis=1)[:, None]
+    return float((row_mass * _sq_dists_t(xbar, points_t)[0]).sum())
 
 
 def update_membership(points: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
     """Membership update: u_ik = 1 / sum_j (d2_ik / d2_ij)^(1/(m-1)).
 
-    Rows where the point coincides with one or more centroids (zero
-    distance) split mass 1 equally among the coinciding centroids.
-    Weights are normalized by the row-minimum distance before
-    exponentiation so the computation cannot overflow.
+    Points that coincide with one or more centroids (zero distance)
+    split mass 1 equally among the coinciding centroids. Weights are
+    normalized by each point's minimum distance before exponentiation so
+    the computation cannot overflow. Returns a C-ordered (n, k) array.
     """
-    points = np.asarray(points, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     if centroids.shape[0] < 2:
         raise ValueError("need at least 2 centroids")
     if not m > 1.0:
         raise ValueError(f"fuzziness m must exceed 1, got {m}")
-    return _membership(sq_dists(points, centroids), m)
+    return _fuzzify(sq_dists(centroids, points), m).T.copy()
 
 
 def update_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
     """Centroid update: c_k = sum_i u_ik^m x_i / sum_i u_ik^m."""
-    points = np.asarray(points, dtype=float)
-    um = np.asarray(u, dtype=float) ** m
-    return _weighted_means(points, um, um.sum(axis=0))
-
-
-def _weighted_means(points: np.ndarray, um: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Centroids from u^m and its column sums; a zero column collapses."""
-    empty = np.nonzero(mass == 0.0)[0]
-    if empty.size:
-        raise CollapsedClusterError(f"cluster {empty[0]} has zero membership mass")
-    return (um.T @ points) / mass[:, None]
+    um = _cluster_major(u) ** m
+    return _centroids(_cluster_major(points), um, um.sum(axis=1))
 
 
 def fuzzy_within(points, centroids, u, m: float) -> float:
     """FW: membership-weighted sum of squared point-to-centroid distances."""
-    um = np.asarray(u, dtype=float) ** m
-    return float((um * sq_dists(points, centroids)).sum())
+    return _fw(_cluster_major(u) ** m, sq_dists(centroids, points))
 
 
 def fuzzy_between(points, centroids, u, m: float) -> float:
     """FB: membership-weighted sum of squared centroid-to-grand-mean distances."""
-    col_mass = (np.asarray(u, dtype=float) ** m).sum(axis=0)
-    return _between(np.asarray(points, dtype=float), np.asarray(centroids, dtype=float), col_mass)
-
-
-def _between(points: np.ndarray, centroids: np.ndarray, col_mass: np.ndarray) -> float:
-    xbar = points.mean(axis=0)
-    d2 = ((centroids - xbar) ** 2).sum(axis=1)
-    return float((col_mass * d2).sum())
+    mass = (_cluster_major(u) ** m).sum(axis=1)
+    return _fb(_cluster_major(points), np.asarray(centroids, dtype=float), mass)
 
 
 def fuzzy_inertia(points, u, m: float) -> float:
     """FI: membership-weighted total scatter about the grand mean."""
-    row_mass = (np.asarray(u, dtype=float) ** m).sum(axis=1)
-    return _inertia(np.asarray(points, dtype=float), row_mass)
-
-
-def _inertia(points: np.ndarray, row_mass: np.ndarray) -> float:
-    xbar = points.mean(axis=0)
-    d2 = ((points - xbar) ** 2).sum(axis=1)
-    return float((row_mass * d2).sum())
+    row_mass = (_cluster_major(u) ** m).sum(axis=0)
+    return _fi(_cluster_major(points), row_mass)
 
 
 @quiet_overflow
@@ -221,18 +244,23 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     if (points == points[0]).all():
         raise EngineError(f"all {n} points are identical: there is no partition to fit")
     m = cfg.m
+    # The loop works on points centred on their grand mean, held
+    # cluster-major; the centroids stay centred until they are returned.
+    xbar = points.mean(axis=0)
+    points_t = np.subtract(points.T, xbar[:, None], order="C")
+    centroids = centroids - xbar
     # The distances that give FW for one cycle are the ones the next
     # cycle's membership update needs: one distance pass per cycle.
-    d2 = sq_dists(points, centroids)
+    d2 = sq_dists(centroids, points_t.T)
     trace: list[float] = []
     prev_fw = None
     for _ in range(cfg.max_iterations):
-        u = _membership(d2, m)
+        u = _fuzzify(d2, m)
         um = u**m
-        mass = um.sum(axis=0)
-        centroids = _weighted_means(points, um, mass)
-        d2 = sq_dists(points, centroids)
-        fw = float((um * d2).sum())
+        mass = um.sum(axis=1)
+        centroids = _centroids(points_t, um, mass)
+        d2 = sq_dists(centroids, points_t.T)
+        fw = _fw(um, d2)
         if not (np.isfinite(fw) and np.isfinite(centroids).all()):
             raise EngineError(
                 f"non-finite FW or centroids in iteration {len(trace) + 1}: "
@@ -246,13 +274,13 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
         prev_fw = fw
 
     return FcmResult(
-        centroids=centroids,
-        membership=u,
+        centroids=centroids + xbar,
+        membership=u.T.copy(),
         iterations=len(trace),
         objective_trace=trace,
         fw=trace[-1],
-        fb=_between(points, centroids, mass),
-        fi=_inertia(points, um.sum(axis=1)),
+        fb=_fb(points_t, centroids, mass),
+        fi=_fi(points_t, um.sum(axis=0)),
         method=method,
         dataset=d.name,
         m=m,

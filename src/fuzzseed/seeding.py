@@ -184,6 +184,7 @@ def _farthest_fill(points: np.ndarray, chosen: list[int], k: int) -> tuple[list[
     return chosen, evals
 
 
+@quiet_overflow  # run_fcm then rejects overflowing data
 def seed_maxmin_quadratic(d: Dataset, k: int) -> SeedSet:
     """All-pairs MaxMin: start from the two points at maximum squared
     distance (lowest index pair on ties), then repeatedly add the point

@@ -51,6 +51,8 @@ class GaussianSpec:
 
     def __post_init__(self):
         _check_types(self, ("k", "size", "dims", "rng_seed"), ("sigma",))
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {type(self.name).__name__}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.size < 1:

@@ -315,6 +315,17 @@ def test_generate_rejects_wrong_field_type(capsys, tmp_path, field, value, messa
     assert err == f"fuzzseed: error: {message}\n"
 
 
+
+def test_generate_rejects_a_non_string_name(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "gaussian_clusters", "k": 3, "size": 5, "sigma": 0.3,
+                                "dims": 2, "name": [1]}))
+    code, out, err = run_cli(capsys, "generate", "--spec", str(path), "--out",
+                             str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == "fuzzseed: error: name must be a string, got list\n"
+    assert not (tmp_path / "x.csv").exists()
+
 def write_bench_manifest(tmp_path, include_broken=False):
     entries = [
         {"name": f"blob{i}", "expected_k": 3,
@@ -407,6 +418,18 @@ def test_bench_wrong_field_type_is_errored_job(capsys, tmp_path, entry, message)
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert all(cell["error"] is None for cell in report["cells"]["blob0"].values())
 
+
+
+def test_bench_non_string_generator_name_is_errored_job(capsys, tmp_path):
+    bad = {"name": "bad", "expected_k": 2,
+           "generator": {"kind": "gaussian_clusters", "k": 2, "size": 6, "sigma": 0.3,
+                         "dims": 2, "rng_seed": 9, "name": [1]}}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(json.loads(write_bench_manifest(tmp_path).read_text()) + [bad]))
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(path), "--out",
+                             str(tmp_path / "rep"), "--seed", "3", "--methods", "maxmin_linear")
+    assert code == 0 and json.loads(out)["warnings"] == 1
+    assert "warning: bad/maxmin_linear: name must be a string, got list" in err
 
 def test_bench_rejects_unknown_method(capsys, tmp_path):
     manifest = write_bench_manifest(tmp_path)

@@ -92,6 +92,15 @@ def test_load_csv_label_outside_int64_range(tmp_path):
     assert list(load_csv(f, label_column="label").labels) == [2**63 - 1024, -3]
 
 
+
+def test_dataset_label_outside_int64_range_is_data_error():
+    with pytest.raises(DataError, match=r"out-of-range label 1180591620717411303424 at row 1"):
+        Dataset(points=[[1.0], [2.0]], labels=[2**70, 1])
+    with pytest.raises(DataError, match=r"out-of-range label -9223372036854775809 at row 2"):
+        Dataset(points=[[1.0], [2.0]], labels=[0, -(2**63) - 1])
+    assert list(Dataset(points=[[1.0], [2.0]], labels=[2**63 - 1, -(2**63)]).labels) == [
+        2**63 - 1, -(2**63)]
+
 def test_load_csv_names_the_first_defect_of_a_row(tmp_path):
     f = tmp_path / "two.csv"
     f.write_text("a,label,b\n1,2,3\nabc,0.5,1\n")

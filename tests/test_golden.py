@@ -20,7 +20,7 @@ from .helpers import reference_run_fcm
 DEMO_MANIFEST = Path(__file__).resolve().parents[1] / "demo" / "manifest.json"
 
 # sha256 of report.json from `fuzzseed bench --manifest demo/manifest.json --seed 42`
-DEMO_REPORT_SHA256 = "6ee381a6c97d617ef2cd1e68a250dc800818b8884cb80d899ef855266a063dd8"
+DEMO_REPORT_SHA256 = "9086661924647ba6d6546fc02bda5217efb26cecba4360740b5636155a28b0f0"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
