@@ -99,16 +99,21 @@ class FcmResult:
         }
 
 
+def _cluster_major(a) -> np.ndarray:
+    """An (n, .) array as the C-ordered (., n) float array the kernel uses."""
+    return np.ascontiguousarray(np.asarray(a, dtype=float).T)
+
+
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, a C-ordered (len(a), len(b))
-    array; see _sq_dists_t. Each operand's columns are read as contiguous
-    rows of its transpose, which costs no copy for an F-ordered operand
-    such as run_fcm's centred points."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]} features")
-    return _sq_dists_t(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    array accumulated one feature at a time (see _sq_dists_t). Each
+    operand's columns are read as contiguous rows of its transpose, which
+    costs no copy for an F-ordered operand such as run_fcm's centred
+    points."""
+    a_t, b_t = _cluster_major(a), _cluster_major(b)
+    if a_t.shape[0] != b_t.shape[0]:
+        raise ValueError(f"dimension mismatch: {a_t.shape[0]} vs {b_t.shape[0]} features")
+    return _sq_dists_t(a_t, b_t)
 
 
 def _sq_dists_t(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
@@ -126,11 +131,6 @@ def _sq_dists_t(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
         tmp *= tmp
         out += tmp
     return out
-
-
-def _cluster_major(a) -> np.ndarray:
-    """An (n, .) array as the C-ordered (., n) float array the kernel uses."""
-    return np.ascontiguousarray(np.asarray(a, dtype=float).T)
 
 
 def _fuzzify(d2: np.ndarray, m: float) -> np.ndarray:

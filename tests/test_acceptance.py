@@ -23,6 +23,7 @@ from fuzzseed import (
     FcmConfig,
     GaussianSpec,
     NoiseSpec,
+    STRATEGIES,
     add_skewed_noise,
     fit_method,
     fuzzy_between,
@@ -142,12 +143,9 @@ def test_inertia_decomposition_identity():
     _report("decomposition identity", f"{checks} updates, worst rel err {worst:.1e}")
 
 
-
 def test_decomposition_identity_at_large_offsets():
     """|FI - (FW + FB)| <= 1e-14 * FI for every strategy's fit on data
     shifted by 0, 1e4, 1e6 and 1e8 in every coordinate."""
-    from fuzzseed import STRATEGIES
-
     worst = {}
     for offset in (0.0, 1e4, 1e6, 1e8):
         for i, ds in enumerate(synthetic_corpus()):
@@ -160,6 +158,7 @@ def test_decomposition_identity_at_large_offsets():
                 worst[offset] = max(worst.get(offset, 0.0), err)
     _report("decomposition identity at offsets",
             ", ".join(f"{o:g}: {e:.1e}" for o, e in worst.items()))
+
 
 def test_tsfd_dual_form():
     """FB/FI agrees with (1+SFD)/2 to 1e-12 on 10,000 pairs; value in [0,1]."""
