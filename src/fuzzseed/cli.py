@@ -200,6 +200,8 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _make_config(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = [m for m in methods if m not in STRATEGIES]
     if unknown:

@@ -9,6 +9,7 @@ import csv
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -46,8 +47,18 @@ class Dataset:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
+            labs = np.asarray(self.labels)
+            if labs.dtype.kind == "f":
+                flat = labs.ravel()
+                bad = _first_bad_label(flat)
+                if bad is not None:
+                    row, problem = bad
+                    raise DataError(
+                        f"{problem} label {float(flat[row])!r} at row {row + 1}: "
+                        "labels are int64 ids"
+                    )
             try:
-                labs = np.array(self.labels, dtype=int)
+                labs = np.array(labs, dtype=int)
             except OverflowError:
                 flat = np.ravel(np.array(self.labels, dtype=object))
                 row = next(i for i, v in enumerate(flat) if not -(2**63) <= v < 2**63)
@@ -80,11 +91,16 @@ def _floats(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _bad_label(value: float) -> str | None:
-    """What is wrong with a label value, if anything: labels are int64 ids."""
-    if not value.is_integer():
-        return "non-integer"
-    return "out-of-range" if abs(value) >= 2**63 else None
+def _first_bad_label(values: np.ndarray) -> tuple[int, str] | None:
+    """The index of the first value that is not an int64 id, and what is
+    wrong with it, or None: a label is an integer of magnitude below 2**63."""
+    integral = values == np.trunc(values)  # False for nan
+    in_range = np.abs(values) < 2**63  # False for nan and inf
+    bad = np.flatnonzero(~(integral & in_range))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    return row, "out-of-range" if integral[row] else "non-integer"
 
 
 def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dataset:
@@ -95,8 +111,12 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
     integer class ids of magnitude below 2**63; it is excluded from the
     feature matrix. Decimal point only; missing values are rejected.
 
-    Raises DataError with a 1-based file line / column location for any
-    unreadable file, ragged row, non-numeric cell or bad label.
+    The data rows are stripped and converted in one call when every row
+    has the header row's width, and the label column is checked whole. If
+    that fails, the rows are walked in file order (width first, then each
+    cell left to right) to name the first defect: DataError gives the
+    1-based file line / column of a ragged row, non-numeric cell or bad
+    label. An unreadable file is a DataError too.
     """
     try:
         with open(path, newline="") as fh:
@@ -121,32 +141,45 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
         label_idx = header.index(label_column)
 
     width = len(first)
-    table = []
-    for line, row in data_rows:
-        if len(row) != width:
-            raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
-        cells = [cell.strip() for cell in row]  # strip also drops \x1c-\x1f; float() does not
-        values = _floats(cells)
-        if values is None or (label_idx is not None and _bad_label(values[label_idx])):
-            # name the row's first defect, walking its cells left to right
-            for col, cell in enumerate(cells, start=1):
-                value = _floats([cell])
-                if value is None:
-                    raise DataError(
-                        f"{path}: non-numeric cell {cell!r} at line {line}, column {col}"
-                    )
-                problem = col - 1 == label_idx and _bad_label(value[0])
-                if problem:
-                    raise DataError(f"{path}: {problem} label {cell!r} at line {line}")
-        table.append(values)
+    points = None
+    if all(len(row) == width for _, row in data_rows):
+        # strip also drops \x1c-\x1f; float() does not
+        values = _floats([cell.strip() for _, row in data_rows for cell in row])
+        points = None if values is None else values.reshape(len(data_rows), width)
+    if points is None or (
+        label_idx is not None and _first_bad_label(points[:, label_idx]) is not None
+    ):
+        _raise_first_defect(path, data_rows, width, label_idx)
 
-    points = np.array(table)
     labels = None
     if label_idx is not None:
         labels = points[:, label_idx].astype(int)
         points = np.delete(points, label_idx, axis=1)
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return Dataset(points=points, labels=labels, name=name)
+
+
+def _raise_first_defect(path, data_rows, width, label_idx) -> NoReturn:
+    """Raise the DataError for the first defect of a table that failed to
+    convert: rows in file order, each checked for width, then as a whole,
+    and a failing row walked cell by cell, left to right."""
+    for line, row in data_rows:
+        if len(row) != width:
+            raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
+        cells = [cell.strip() for cell in row]
+        values = _floats(cells)
+        if values is not None and (
+            label_idx is None or _first_bad_label(values[[label_idx]]) is None
+        ):
+            continue
+        for col, cell in enumerate(cells, start=1):
+            value = _floats([cell])
+            if value is None:
+                raise DataError(f"{path}: non-numeric cell {cell!r} at line {line}, column {col}")
+            bad = _first_bad_label(value) if col - 1 == label_idx else None
+            if bad is not None:
+                raise DataError(f"{path}: {bad[1]} label {cell!r} at line {line}")
+    raise AssertionError(f"{path}: the table failed to convert, but no row has a defect")
 
 
 def load_csv_source(source: dict, base_dir) -> Dataset:

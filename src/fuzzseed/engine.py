@@ -41,17 +41,18 @@ quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 @dataclass(frozen=True)
 class FcmConfig:
-    """Iteration parameters: fuzziness m > 1, relative-FW tolerance, cap."""
+    """Iteration parameters: finite fuzziness m > 1, finite relative-FW
+    tolerance epsilon > 0, iteration cap."""
 
     m: float = 2.0
     epsilon: float = 1e-4
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise ValueError(f"fuzziness m must exceed 1, got {self.m}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 1.0 < self.m < np.inf:
+            raise ValueError(f"fuzziness m must be finite and exceed 1, got {self.m}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

@@ -97,6 +97,8 @@ def test_fit_rejects_bad_m_and_epsilon(capsys, line5):
     base = ("fit", "--data", str(line5), "--k", "2", "--method", "maxmin_linear")
     assert run_cli(capsys, *base, "--m", "1.0")[0] == 1
     assert run_cli(capsys, *base, "--epsilon", "0")[0] == 1
+    assert run_cli(capsys, *base, "--m", "inf")[0] == 1
+    assert run_cli(capsys, *base, "--epsilon", "inf")[0] == 1
 
 
 @pytest.fixture
@@ -437,6 +439,13 @@ def test_bench_rejects_unknown_method(capsys, tmp_path):
                          "--out", str(tmp_path / "rep"), "--seed", "2",
                          "--methods", "maxmin_linear,pca_part")
     assert code == 1
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                                 "--out", str(tmp_path / "rep"), "--seed", "2",
+                                 "--methods", "maxmin_linear", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert f"--jobs must be >= 1, got {jobs}" in err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_bench_formats(capsys, tmp_path):

@@ -1,9 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzseed import DataError, Dataset, grand_mean, load_csv, standardize, write_csv
+from fuzzseed import DataError, Dataset, data, grand_mean, load_csv, standardize, write_csv
 
 from .helpers import reference_load_csv
 
@@ -100,6 +103,19 @@ def test_dataset_label_outside_int64_range_is_data_error():
         Dataset(points=[[1.0], [2.0]], labels=[0, -(2**63) - 1])
     assert list(Dataset(points=[[1.0], [2.0]], labels=[2**63 - 1, -(2**63)]).labels) == [
         2**63 - 1, -(2**63)]
+    # float arrays take load_csv's label rule: no wrapped cast, no truncation
+    for labels, message in (([1e30, 1.0], "out-of-range label 1e+30 at row 1"),
+                            ([1.0, -(2.0**63)], "out-of-range label -9.223372036854776e+18"),
+                            ([1.0, -np.inf], "out-of-range label -inf at row 2"),
+                            ([np.nan, 1.0], "non-integer label nan at row 1"),
+                            ([1.5, 2.7], "non-integer label 1.5 at row 1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(message)):
+                Dataset(points=[[1.0], [2.0]], labels=np.array(labels))
+    labs = Dataset(points=[[1.0], [2.0]], labels=np.array([3.0, -(2.0**62)])).labels
+    assert labs.dtype == np.int64 and list(labs) == [3, -(2**62)]
+
 
 def test_load_csv_names_the_first_defect_of_a_row(tmp_path):
     f = tmp_path / "two.csv"
@@ -112,6 +128,39 @@ def test_load_csv_names_the_first_defect_of_a_row(tmp_path):
     f.write_text("a,label,b\n1,0.5,3\n1,2,abc\n")
     with pytest.raises(DataError, match=r"non-integer label '0.5' at line 2"):
         load_csv(f, label_column="label")
+
+
+def test_load_csv_converts_a_valid_table_in_one_call(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(cells):
+        calls.append(len(cells))
+        return floats(cells)
+
+    floats = data._floats
+    monkeypatch.setattr(data, "_floats", counting)
+    rng = np.random.default_rng(5)
+    rows = [f"{x!r},{y!r},{label}" for (x, y), label in
+            zip(rng.normal(size=(500, 2)).tolist(), rng.integers(-3, 4, size=500).tolist())]
+    f = tmp_path / "valid.csv"
+    f.write_text("x,y,label\n" + "\n".join(rows) + "\n")
+    ds = load_csv(f, label_column="label")
+    assert ds.n == 500
+    assert calls == [3, 1500]  # the header test, then the whole table
+
+
+def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
+    f = tmp_path / "order.csv"
+    for lines, message in (
+        (["a,label", "1,2", "abc,3", "4,5", "6", "7,8"], "non-numeric cell 'abc' at line 3"),
+        (["a,label", "1,2", "3", "4,5", "abc,6", "7,8"], "row at line 3 has 1 cells"),
+        (["a,label"] + [f"{i},{i % 3}" for i in range(1999)] + ["0,0.5"],
+         "non-integer label '0.5' at line 2001"),
+    ):
+        f.write_text("\n".join(lines) + "\n")
+        outcome = _outcome(load_csv, f, "label")
+        assert outcome == _outcome(reference_load_csv, f, "label")
+        assert outcome[0] == "DataError" and message in outcome[1]
 
 
 def test_load_csv_accepts_the_spellings_float_accepts(tmp_path):
