@@ -47,9 +47,13 @@ class Dataset:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            labs = np.asarray(self.labels)
-            if labs.dtype.kind == "f":
-                flat = labs.ravel()
+            # Only a float array takes the float rule: numpy infers float64
+            # (or uint64) for a list of ints beyond int64, which loses their
+            # value, so lists are cast as given and overflow is caught.
+            given = self.labels
+            is_array = isinstance(given, np.ndarray)
+            if is_array and given.dtype.kind == "f":
+                flat = given.ravel()
                 bad = _first_bad_label(flat)
                 if bad is not None:
                     row, problem = bad
@@ -58,7 +62,9 @@ class Dataset:
                         "labels are int64 ids"
                     )
             try:
-                labs = np.array(labs, dtype=int)
+                labs = np.array(given, dtype=int)
+                if is_array and given.dtype.kind == "u" and np.any(given >= 2**63):
+                    raise OverflowError  # the uint64 cast above wrapped
             except OverflowError:
                 flat = np.ravel(np.array(self.labels, dtype=object))
                 row = next(i for i, v in enumerate(flat) if not -(2**63) <= v < 2**63)

@@ -103,6 +103,17 @@ def test_dataset_label_outside_int64_range_is_data_error():
         Dataset(points=[[1.0], [2.0]], labels=[0, -(2**63) - 1])
     assert list(Dataset(points=[[1.0], [2.0]], labels=[2**63 - 1, -(2**63)]).labels) == [
         2**63 - 1, -(2**63)]
+    # int lists and uint64 arrays beyond int64 are named exactly, never wrapped
+    for labels, message in (([2**63, 1], "out-of-range label 9223372036854775808 at row 1"),
+                            ([2**63 - 1, 2**63], "out-of-range label 9223372036854775808 at row 2"),
+                            ([0, 2**64 - 1], "out-of-range label 18446744073709551615 at row 2"),
+                            (np.array([5, 2**63], dtype=np.uint64),
+                             "out-of-range label 9223372036854775808 at row 2")):
+        with pytest.raises(DataError, match=re.escape(message)):
+            Dataset(points=[[1.0], [2.0]], labels=labels)
+    assert list(Dataset(points=[[1.0], [2.0]], labels=np.array([7, 2**63 - 1],
+                                                              dtype=np.uint64)).labels) == [
+        7, 2**63 - 1]
     # float arrays take load_csv's label rule: no wrapped cast, no truncation
     for labels, message in (([1e30, 1.0], "out-of-range label 1e+30 at row 1"),
                             ([1.0, -(2.0**63)], "out-of-range label -9.223372036854776e+18"),
