@@ -47,30 +47,24 @@ class Dataset:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            # Only a float array takes the float rule: numpy infers float64
-            # (or uint64) for a list of ints beyond int64, which loses their
-            # value, so lists are cast as given and overflow is caught.
+            # Labels other than a numeric array are read as Python objects:
+            # numpy infers float64 (or uint64) for a list of ints that
+            # reaches 2**63, which loses their value, and a cast to int
+            # would truncate 1.5 to 1.
             given = self.labels
-            is_array = isinstance(given, np.ndarray)
-            if is_array and given.dtype.kind == "f":
-                flat = given.ravel()
-                bad = _first_bad_label(flat)
-                if bad is not None:
-                    row, problem = bad
-                    raise DataError(
-                        f"{problem} label {float(flat[row])!r} at row {row + 1}: "
-                        "labels are int64 ids"
-                    )
+            if not (isinstance(given, np.ndarray) and given.dtype.kind in "iuf"):
+                given = np.array(given, dtype=object)
+            flat = given.ravel()
             try:
-                labs = np.array(given, dtype=int)
-                if is_array and given.dtype.kind == "u" and np.any(given >= 2**63):
-                    raise OverflowError  # the uint64 cast above wrapped
-            except OverflowError:
-                flat = np.ravel(np.array(self.labels, dtype=object))
-                row = next(i for i, v in enumerate(flat) if not -(2**63) <= v < 2**63)
+                bad = _first_bad_label(flat)
+            except TypeError:  # a label that is not a number
+                raise DataError("labels must be integer ids") from None
+            if bad is not None:
+                row, problem = bad
                 raise DataError(
-                    f"out-of-range label {flat[row]!r} at row {row + 1}: labels are int64 ids"
-                ) from None
+                    f"{problem} label {flat.item(row)} at row {row + 1}: labels are int64 ids"
+                )
+            labs = given.astype(int)
             if labs.shape != (pts.shape[0],):
                 raise DataError(
                     f"labels length {labs.shape} does not match n={pts.shape[0]}"
@@ -97,16 +91,21 @@ def _floats(cells) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
+@np.errstate(invalid="ignore")  # Python comparing a nan sets the invalid flag
 def _first_bad_label(values: np.ndarray) -> tuple[int, str] | None:
     """The index of the first value that is not an int64 id, and what is
-    wrong with it, or None: a label is an integer of magnitude below 2**63."""
-    integral = values == np.trunc(values)  # False for nan
-    in_range = np.abs(values) < 2**63  # False for nan and inf
-    bad = np.flatnonzero(~(integral & in_range))
-    if not bad.size:
+    wrong with it, or None: a label is an integer of magnitude below 2**63.
+    `values` is a 1-D array of floats, integers or Python numbers."""
+    ok = (values > -(2**63)) & (values < 2**63)  # False for nan and inf
+    if values.dtype.kind not in "iu":  # an integer array holds only integers
+        inside = np.where(ok, values, 0).astype(float, copy=False)  # an int stays integral
+        ok &= inside == np.trunc(inside)
+    if ok.all():
         return None
-    row = int(bad[0])
-    return row, "out-of-range" if integral[row] else "non-integer"
+    row = int(np.argmin(ok))
+    value = values[row]
+    in_range = -(2**63) < value < 2**63
+    return row, "non-integer" if in_range or value != value else "out-of-range"
 
 
 def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dataset:

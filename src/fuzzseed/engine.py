@@ -11,7 +11,8 @@ FB = sum_k (sum_i u_ik^m) d2(c_k, xbar). All distances are squared
 Euclidean; no other metric is supported.
 
 The kernel works cluster-major: points as a C-ordered (p, n) array,
-distances, u and u^m as (k, n) arrays. run_fcm centres the points on
+distances, u and u^m as (k, n) arrays, distances and memberships filled
+one cache-sized column block at a time. run_fcm centres the points on
 their grand mean once and keeps its centroids centred until it returns
 them, so FW, FB and FI are summed from differences of the data's own
 scale whatever its offset. The public single-step functions run the same
@@ -117,37 +118,70 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _sq_dists_t(a_t, b_t)
 
 
+# Output cells per column block of the distance and membership kernel:
+# 2**16 float64 cells (512 KiB) keep a block and its scratch inside a
+# core's L2 cache, so the per-feature passes over a large (k, n) array
+# run from cache instead of from memory.
+_BLOCK_CELLS = 1 << 16
+
+
+def _column_blocks(rows: int, cols: int) -> list[slice]:
+    """Column slices of a (rows, cols) array, about _BLOCK_CELLS cells each;
+    the first block is the widest.
+
+    Blocks are at least two columns wide: numpy sums a single column over
+    its rows pairwise, but a wider block row by row, as it sums the whole
+    array; so a one-column remainder joins the first block.
+    """
+    if rows * cols <= _BLOCK_CELLS:
+        return [slice(0, cols)]
+    width = max(2, _BLOCK_CELLS // rows)
+    bounds = [0, *range(width + (cols % width == 1), cols, width), cols]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def _sq_dists_t(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     """Squared distances between the columns of two (p, .) arrays.
 
-    Accumulates one feature at a time, (a_q - b_q)^2 added in feature
-    order, so the scratch memory is one output-sized buffer and no
-    (len(a), len(b), p) tensor is built. A point equal to a centroid gets
-    an exact 0, which the coincident-point rule relies on.
+    Fills the output one column block at a time (_column_blocks), adding
+    (a_q - b_q)^2 in feature order, the first square written in place;
+    the scratch memory is one block and no (len(a), len(b), p) tensor is
+    built. A point equal to a centroid gets an exact 0, which the
+    coincident-point rule relies on.
     """
-    out = np.zeros((a_t.shape[1], b_t.shape[1]))
-    tmp = np.empty_like(out)
-    for a_q, b_q in zip(a_t, b_t):
-        np.subtract.outer(a_q, b_q, out=tmp)
-        tmp *= tmp
-        out += tmp
+    if not len(a_t):  # no features: every distance is 0
+        return np.zeros((a_t.shape[1], b_t.shape[1]))
+    out = np.empty((a_t.shape[1], b_t.shape[1]))
+    blocks = _column_blocks(*out.shape)
+    scratch = np.empty((out.shape[0], blocks[0].stop))
+    for cols in blocks:
+        block, tmp = out[:, cols], scratch[:, : cols.stop - cols.start]
+        np.subtract.outer(a_t[0], b_t[0, cols], out=block)
+        block *= block
+        for a_q, b_q in zip(a_t[1:], b_t[1:, cols]):
+            np.subtract.outer(a_q, b_q, out=tmp)
+            tmp *= tmp
+            block += tmp
     return out
 
 
 def _fuzzify(d2: np.ndarray, m: float) -> np.ndarray:
-    """Memberships from (k, n) squared distances, written over `d2`; see
-    update_membership. The one home of the coincident-point rule."""
-    dmin = d2.min(axis=0)
-    coincident = np.flatnonzero(dmin == 0.0)
-    if coincident.size:
-        hits = d2[:, coincident] == 0.0
-        d2[:, coincident] = 1.0  # placeholders, overwritten below
-        dmin[coincident] = 1.0
-    d2 /= dmin
-    d2 **= -1.0 / (m - 1.0)
-    d2 /= d2.sum(axis=0)
-    if coincident.size:
-        d2[:, coincident] = hits / hits.sum(axis=0)
+    """Memberships from (k, n) squared distances, written over `d2` one
+    column block at a time; see update_membership. The one home of the
+    coincident-point rule."""
+    for cols in _column_blocks(*d2.shape):
+        block = d2[:, cols]
+        dmin = block.min(axis=0)
+        coincident = np.flatnonzero(dmin == 0.0)
+        if coincident.size:
+            hits = block[:, coincident] == 0.0
+            block[:, coincident] = 1.0  # placeholders, overwritten below
+            dmin[coincident] = 1.0
+        block /= dmin
+        block **= -1.0 / (m - 1.0)
+        block /= block.sum(axis=0)
+        if coincident.size:
+            block[:, coincident] = hits / hits.sum(axis=0)
     return d2
 
 
@@ -222,7 +256,8 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     iteration is one completed membership+centroid cycle; FW is recorded
     after each cycle. A non-finite FW or centroid (squared distances that
     overflow float64) raises EngineError, and so do n identical points,
-    which admit no partition (FI = 0).
+    which admit no partition (FI = 0), and a final u^m row that
+    underflows to 0 (a huge m), which leaves that point out of FW.
 
     `seeds` is a SeedSet or anything with a `.centroids` (K, p) array;
     a bare array works too.
@@ -274,6 +309,13 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
             break
         prev_fw = fw
 
+    # Some u_ik >= 1/k in every row, so only underflow zeroes a u^m row
+    row_mass = um.sum(axis=0)
+    if not row_mass.all():
+        raise EngineError(
+            f"u**m underflows to 0 for {np.count_nonzero(row_mass == 0.0)} of {n} points "
+            f"at m={m:g} (lower the fuzziness m)"
+        )
     return FcmResult(
         centroids=centroids + xbar,
         membership=u.T.copy(),
@@ -281,7 +323,7 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
         objective_trace=trace,
         fw=trace[-1],
         fb=_fb(points_t, centroids, mass),
-        fi=_fi(points_t, um.sum(axis=0)),
+        fi=_fi(points_t, row_mass),
         method=method,
         dataset=d.name,
         m=m,

@@ -110,6 +110,24 @@ def seed_macqueen2(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     )
 
 
+def _spread(points: np.ndarray, chosen: list[int], k: int, pick) -> tuple[list[int], int]:
+    """Greedy seeding shared by kmeanspp and the farthest fill: completes
+    `chosen` to k indices, each next one `pick(dmin, chosen)`, where dmin
+    holds every point's squared distance to its nearest chosen seed.
+
+    One n-sized distance pass per seed except the last: returns (all
+    indices, n*(k-1) distance evaluations).
+    """
+    n = points.shape[0]
+    chosen = list(chosen)
+    dmin = np.full(n, np.inf)
+    for i in range(1, k):
+        dmin = np.minimum(dmin, ((points - points[chosen[i - 1]]) ** 2).sum(axis=1))
+        if i == len(chosen):
+            chosen.append(pick(dmin, chosen))
+    return chosen, n * (k - 1)
+
+
 @quiet_overflow
 def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     """d^2-weighted seeding: first seed uniform, each next one drawn with
@@ -126,13 +144,10 @@ def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     rng = make_rng(seed)
     points = d.points
     n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    dmin = np.full(n, np.inf)
-    evals = 0
     fallback = False
-    while len(chosen) < k:
-        dmin = np.minimum(dmin, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
-        evals += n
+
+    def draw(dmin, chosen):
+        nonlocal fallback
         total = dmin.sum()
         if not np.isfinite(total):
             raise EngineError(
@@ -140,12 +155,11 @@ def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
                 "(rescale the data)"
             )
         if total > 0.0:
-            nxt = int(rng.choice(n, p=dmin / total))
-        else:
-            remaining = np.setdiff1d(np.arange(n), np.array(chosen))
-            nxt = int(rng.choice(remaining))
-            fallback = True
-        chosen.append(nxt)
+            return int(rng.choice(n, p=dmin / total))
+        fallback = True
+        return int(rng.choice(np.setdiff1d(np.arange(n), np.array(chosen))))
+
+    chosen, evals = _spread(points, [int(rng.integers(n))], k, draw)
     return SeedSet(
         centroids=points[chosen],
         method="kmeanspp",
@@ -157,31 +171,18 @@ def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     )
 
 
-def _farthest_fill(points: np.ndarray, chosen: list[int], k: int) -> tuple[list[int], int]:
-    """Greedy farthest-point completion, linear route.
+def _farthest(dmin: np.ndarray, chosen: list[int]) -> int:
+    """The unchosen point farthest from its nearest seed (ties: lowest index)."""
+    candidates = dmin.copy()
+    candidates[chosen] = -np.inf
+    return int(np.argmax(candidates))
 
-    Maintains each point's min squared distance to the chosen seeds with
-    one n-sized distance pass per new seed; already-chosen indices are
-    excluded from the argmax. Returns (all indices, distance evaluations).
-    """
-    n = points.shape[0]
-    chosen = list(chosen)
-    dmin = np.full(n, np.inf)
-    evals = 0
-    last = chosen[0]
-    for idx in chosen[1:]:
-        dmin = np.minimum(dmin, ((points - points[last]) ** 2).sum(axis=1))
-        evals += n
-        last = idx
-    while len(chosen) < k:
-        dmin = np.minimum(dmin, ((points - points[last]) ** 2).sum(axis=1))
-        evals += n
-        candidates = dmin.copy()
-        candidates[chosen] = -np.inf
-        nxt = int(np.argmax(candidates))  # ties: lowest index
-        chosen.append(nxt)
-        last = nxt
-    return chosen, evals
+
+def _farthest_fill(points: np.ndarray, chosen: list[int], k: int) -> tuple[list[int], int]:
+    """Greedy farthest-point completion, linear route: one n-sized
+    distance pass per seed except the last. Returns (all indices,
+    distance evaluations)."""
+    return _spread(points, chosen, k, _farthest)
 
 
 @quiet_overflow  # run_fcm then rejects overflowing data

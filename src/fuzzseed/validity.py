@@ -70,11 +70,12 @@ def v_cl(u: np.ndarray) -> float:
     n, k = u.shape
     if k < 2:
         raise ValueError("index needs at least 2 clusters")
-    compactness = float(u.max(axis=1).mean())
+    rows = np.ascontiguousarray(u.T)  # each cluster's memberships, contiguous
+    compactness = float(rows.max(axis=0).mean())
     pairs = 0.0
     for a in range(k - 1):
         for b in range(a + 1, k):
-            pairs += float(np.minimum(u[:, a], u[:, b]).mean())
+            pairs += float(np.minimum(rows[a], rows[b]).mean())
     c = k * (k - 1) / 2
     return compactness - pairs / c
 

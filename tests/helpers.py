@@ -56,6 +56,36 @@ def random_instance(rng, max_n=30, max_k=6, max_p=4):
     return points, centroids
 
 
+def whole_array_sq_dists_t(a_t, b_t):
+    """engine._sq_dists_t before column blocking: squared distances between
+    the columns of two (p, .) arrays, (a_q - b_q)^2 added in feature order
+    onto zeros over the whole output at once."""
+    out = np.zeros((a_t.shape[1], b_t.shape[1]))
+    tmp = np.empty_like(out)
+    for a_q, b_q in zip(a_t, b_t):
+        np.subtract.outer(a_q, b_q, out=tmp)
+        tmp *= tmp
+        out += tmp
+    return out
+
+
+def whole_array_fuzzify(d2, m):
+    """engine._fuzzify before column blocking: memberships from (k, n)
+    squared distances, each step over the whole array, written over d2."""
+    dmin = d2.min(axis=0)
+    coincident = np.flatnonzero(dmin == 0.0)
+    if coincident.size:
+        hits = d2[:, coincident] == 0.0
+        d2[:, coincident] = 1.0
+        dmin[coincident] = 1.0
+    d2 /= dmin
+    d2 **= -1.0 / (m - 1.0)
+    d2 /= d2.sum(axis=0)
+    if coincident.size:
+        d2[:, coincident] = hits / hits.sum(axis=0)
+    return d2
+
+
 def reference_run_fcm(d, seeds, cfg=None):
     """run_fcm as the point-major engine computed it: (n, k) distances
     filled one centroid column at a time, memberships row by row, in the

@@ -151,6 +151,14 @@ def test_fit_identical_points_is_engine_error(capsys, tmp_path, rows):
         assert "points are identical" in err
 
 
+def test_fit_underflowing_membership_is_engine_error(capsys, line5):
+    # u**m of every non-crisp membership is 0 at m=1e6: FW would leave those points out
+    code, out, err = run_cli(capsys, "fit", "--data", str(line5), "--k", "2",
+                             "--method", "maxmin_linear", "--m", "1e6")
+    assert (code, out) == (2, "")
+    assert "u**m underflows to 0" in err
+
+
 def test_bench_identical_points_is_errored_cell(capsys, tmp_path):
     (tmp_path / "same.csv").write_text("1,1\n1,1\n1,1\n1,1\n")
     manifest = json.loads(write_bench_manifest(tmp_path).read_text())
@@ -164,6 +172,18 @@ def test_bench_identical_points_is_errored_cell(capsys, tmp_path):
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     for cell in report["cells"]["same"].values():
         assert cell["values"] is None and "points are identical" in cell["error"]
+
+
+def test_bench_underflowing_membership_is_errored_cell(capsys, tmp_path):
+    path = write_bench_manifest(tmp_path)
+    code, out, _ = run_cli(capsys, "bench", "--manifest", str(path), "--out",
+                           str(tmp_path / "rep"), "--seed", "3", "--m", "1e6",
+                           "--methods", "maxmin_linear")
+    assert code == 0 and json.loads(out)["warnings"] == 3
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    for cells in report["cells"].values():
+        cell = cells["maxmin_linear"]
+        assert cell["values"] is None and "u**m underflows to 0" in cell["error"]
 
 
 def test_fit_label_outside_int64_range_is_data_error(capsys, tmp_path):

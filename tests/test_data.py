@@ -101,16 +101,28 @@ def test_dataset_label_outside_int64_range_is_data_error():
         Dataset(points=[[1.0], [2.0]], labels=[2**70, 1])
     with pytest.raises(DataError, match=r"out-of-range label -9223372036854775809 at row 2"):
         Dataset(points=[[1.0], [2.0]], labels=[0, -(2**63) - 1])
-    assert list(Dataset(points=[[1.0], [2.0]], labels=[2**63 - 1, -(2**63)]).labels) == [
-        2**63 - 1, -(2**63)]
+    # one rule for every input: an integer of magnitude below 2**63
+    assert list(Dataset(points=[[1.0], [2.0]], labels=[2**63 - 1, 1 - 2**63]).labels) == [
+        2**63 - 1, 1 - 2**63]
     # int lists and uint64 arrays beyond int64 are named exactly, never wrapped
     for labels, message in (([2**63, 1], "out-of-range label 9223372036854775808 at row 1"),
+                            ([0, -(2**63)], "out-of-range label -9223372036854775808 at row 2"),
+                            (np.array([0, -(2**63)]),
+                             "out-of-range label -9223372036854775808 at row 2"),
+                            ([1.5, 2.7], "non-integer label 1.5 at row 1"),
+                            ([3, 2.5], "non-integer label 2.5 at row 2"),
+                            ([2.0, float("nan")], "non-integer label nan at row 2"),
+                            ([1e30, 1], "out-of-range label 1e+30 at row 1"),
+                            ([np.float64(3.5), 1], "non-integer label 3.5 at row 1"),
+                            (["1", "2"], "labels must be integer ids"),
                             ([2**63 - 1, 2**63], "out-of-range label 9223372036854775808 at row 2"),
                             ([0, 2**64 - 1], "out-of-range label 18446744073709551615 at row 2"),
                             (np.array([5, 2**63], dtype=np.uint64),
                              "out-of-range label 9223372036854775808 at row 2")):
         with pytest.raises(DataError, match=re.escape(message)):
             Dataset(points=[[1.0], [2.0]], labels=labels)
+    for labels in ([np.int64(1), True], np.array([True, False])):
+        assert list(Dataset(points=[[1.0], [2.0]], labels=labels).labels) == [1, int(labels[1])]
     assert list(Dataset(points=[[1.0], [2.0]], labels=np.array([7, 2**63 - 1],
                                                               dtype=np.uint64)).labels) == [
         7, 2**63 - 1]

@@ -17,7 +17,13 @@ from fuzzseed import (
 from fuzzseed import engine
 from fuzzseed.engine import sq_dists
 
-from .helpers import brute_force_membership, random_instance, random_membership
+from .helpers import (
+    brute_force_membership,
+    random_instance,
+    random_membership,
+    whole_array_fuzzify,
+    whole_array_sq_dists_t,
+)
 
 # Fixed point of the two-pairs instance, computed by iterating the update
 # equations to 1e-16 with an independent script; x is not exactly 0 because
@@ -283,6 +289,81 @@ def test_sq_dists_matches_per_feature_accumulation_bitwise():
                 got = sq_dists(a_, b_)
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, expected)
+    # outputs of several column blocks, with a partial or a one-column tail
+    for k in (1, 3, 10, 25):
+        width = engine._BLOCK_CELLS // k
+        for p, n_b in [(1, 3 * width + 5), (4, 2 * width + 1), (2, 2 * width - 3)]:
+            a = rng.normal(size=(k, p)) * 10.0 ** rng.uniform(-3, 3)
+            b = rng.normal(size=(n_b, p)) + rng.uniform(-100, 100)
+            b[width - 1: width + 1] = a[0]  # exact zeros on both sides of a block end
+            expected = np.zeros((k, n_b))
+            for q in range(p):
+                expected += (a[:, q][:, None] - b[:, q][None, :]) ** 2
+            got = sq_dists(a, b)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, expected)
+            assert np.array_equal(got, whole_array_sq_dists_t(a.T.copy(), b.T.copy()))
+
+
+def block_boundary_instance(rng, k, n, p):
+    """n points and k seeds drawn from them, where points on both sides of
+    each multiple of the block width (a block end, or one column before it
+    when a one-column remainder joins the first block) coincide with a seed
+    (exact zeros there), and with two seeds when k > 2."""
+    width = engine._BLOCK_CELLS // k
+    points = rng.normal(size=(n, p)) * 3.0
+    seeds = points[rng.choice(n, size=k, replace=False)]
+    if k > 2:
+        seeds[2] = seeds[0]
+    for end in range(width, n - 1, width):
+        points[end - 1: end + 2] = seeds[[0, 1, 0]]
+    return points, seeds
+
+
+def test_update_membership_blocked_matches_whole_array_bitwise():
+    rng = np.random.default_rng(14)
+    for k in (2, 3, 10, 25):
+        width = engine._BLOCK_CELLS // k
+        for n, m in [(2 * width + 1, 2.0), (3 * width - 7, 1.5), (2 * width, 3.0)]:
+            points, centroids = block_boundary_instance(rng, k, n, 2)
+            d2 = whole_array_sq_dists_t(centroids.T.copy(), points.T.copy())
+            expected = whole_array_fuzzify(d2, m).T
+            got = update_membership(points, centroids, m)
+            assert np.array_equal(got, expected), (k, n, m)
+            assert (got[width - 1: width + 2] % 0.5 == 0.0).all()  # the coincident rule
+    # Points far nearer one centroid than the other 24: summed row by row,
+    # 1 + 24 * 1e-16 rounds to 1, but not when summed pairwise, as numpy
+    # sums a single column; so a one-column block would change bits.
+    width = engine._BLOCK_CELLS // 25
+    centroids = np.vstack([np.zeros(2), rng.normal(size=(24, 2)) * 1e8])
+    points = rng.normal(size=(2 * width + 1, 2))
+    d2 = whole_array_sq_dists_t(centroids.T.copy(), points.T.copy())
+    assert np.array_equal(update_membership(points, centroids, 2.0),
+                          whole_array_fuzzify(d2, 2.0).T)
+
+
+def test_run_fcm_multi_block_matches_whole_array_composition_bitwise():
+    # the stepwise composition of test_run_fcm_matches_stepwise_composition_bitwise,
+    # over the whole-array kernel, on a fit of several column blocks
+    rng = np.random.default_rng(15)
+    k = 10
+    n = 3 * (engine._BLOCK_CELLS // k) + 101
+    points, seeds = block_boundary_instance(rng, k, n, 3)
+    xbar = points.mean(axis=0)
+    points_t = np.ascontiguousarray((points - xbar).T)
+    for m in (1.5, 2.0, 3.0):
+        centroids, trace = seeds - xbar, []
+        for _ in range(4):
+            u = whole_array_fuzzify(whole_array_sq_dists_t(centroids.T.copy(), points_t), m)
+            um = u**m
+            centroids = (um @ points_t.T) / um.sum(axis=1)[:, None]
+            d2 = whole_array_sq_dists_t(centroids.T.copy(), points_t)
+            trace.append(float((um * d2).sum()))
+        res = run_fcm(Dataset(points=points, name="blocks"), seeds,
+                      FcmConfig(m=m, epsilon=1e-15, max_iterations=4))
+        assert np.array_equal(res.centroids, centroids + xbar)
+        assert np.array_equal(res.membership, u.T)
+        assert res.objective_trace == trace
 
 
 def test_run_fcm_one_distance_pass_per_cycle(monkeypatch):
