@@ -289,13 +289,13 @@ def test_sq_dists_matches_per_feature_accumulation_bitwise():
                 got = sq_dists(a_, b_)
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, expected)
-    # outputs of several column blocks, with a partial or a one-column tail
+    # outputs of several column blocks, with a partial or a one-column remainder
     for k in (1, 3, 10, 25):
         width = engine._BLOCK_CELLS // k
         for p, n_b in [(1, 3 * width + 5), (4, 2 * width + 1), (2, 2 * width - 3)]:
             a = rng.normal(size=(k, p)) * 10.0 ** rng.uniform(-3, 3)
             b = rng.normal(size=(n_b, p)) + rng.uniform(-100, 100)
-            b[width - 1: width + 1] = a[0]  # exact zeros on both sides of a block end
+            b[width - 1: width + 2] = a[0]  # exact zeros on both sides of a block end
             expected = np.zeros((k, n_b))
             for q in range(p):
                 expected += (a[:, q][:, None] - b[:, q][None, :]) ** 2
