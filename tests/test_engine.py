@@ -289,8 +289,9 @@ def test_sq_dists_matches_per_feature_accumulation_bitwise():
                 got = sq_dists(a_, b_)
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, expected)
-    # outputs of several column blocks, with a partial or a one-column remainder
-    for k in (1, 3, 10, 25):
+    # outputs of several column blocks, with a partial or a one-column
+    # remainder (at k=25 the output stays one block)
+    for k in (1, 3, 10, 16, 25):
         width = engine._BLOCK_CELLS // k
         for p, n_b in [(1, 3 * width + 5), (4, 2 * width + 1), (2, 2 * width - 3)]:
             a = rng.normal(size=(k, p)) * 10.0 ** rng.uniform(-3, 3)
@@ -322,7 +323,7 @@ def block_boundary_instance(rng, k, n, p):
 
 def test_update_membership_blocked_matches_whole_array_bitwise():
     rng = np.random.default_rng(14)
-    for k in (2, 3, 10, 25):
+    for k in (2, 3, 10, 16, 25):
         width = engine._BLOCK_CELLS // k
         for n, m in [(2 * width + 1, 2.0), (3 * width - 7, 1.5), (2 * width, 3.0)]:
             points, centroids = block_boundary_instance(rng, k, n, 2)
@@ -331,11 +332,11 @@ def test_update_membership_blocked_matches_whole_array_bitwise():
             got = update_membership(points, centroids, m)
             assert np.array_equal(got, expected), (k, n, m)
             assert (got[width - 1: width + 2] % 0.5 == 0.0).all()  # the coincident rule
-    # Points far nearer one centroid than the other 24: summed row by row,
-    # 1 + 24 * 1e-16 rounds to 1, but not when summed pairwise, as numpy
-    # sums a single column; so a one-column block would change bits.
-    width = engine._BLOCK_CELLS // 25
-    centroids = np.vstack([np.zeros(2), rng.normal(size=(24, 2)) * 1e8])
+    # Points far nearer one centroid than the other 15: summed row by row,
+    # 1 + 15 * 1e-16 rounds otherwise than summed pairwise, as numpy sums
+    # a single column; so a one-column block would change bits.
+    width = engine._BLOCK_CELLS // 16
+    centroids = np.vstack([np.zeros(2), rng.normal(size=(15, 2)) * 1e8])
     points = rng.normal(size=(2 * width + 1, 2))
     d2 = whole_array_sq_dists_t(centroids.T.copy(), points.T.copy())
     assert np.array_equal(update_membership(points, centroids, 2.0),
