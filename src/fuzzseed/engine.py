@@ -124,9 +124,10 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # run from cache instead of from memory.
 _BLOCK_CELLS = 1 << 16
 # Narrower blocks run slower than the whole array: numpy then loops over
-# many short row segments (at k=25, 2621-column blocks took 119 ms per
-# distance pass at n=1e5, p=16, against 81 ms unblocked), so an array
-# with more than _BLOCK_CELLS // _MIN_BLOCK_COLUMNS = 16 rows stays whole.
+# many short row segments (at k=25, n=1e5, p=16, 2621-column blocks took
+# 119 ms per distance pass against 81 ms unblocked, on a 2-core x86-64
+# with 2 MiB of L2 per core), so an array with more than
+# _BLOCK_CELLS // _MIN_BLOCK_COLUMNS = 16 rows stays whole.
 _MIN_BLOCK_COLUMNS = 4096
 
 

@@ -70,7 +70,7 @@ def v_cl(u: np.ndarray) -> float:
     n, k = u.shape
     if k < 2:
         raise ValueError("index needs at least 2 clusters")
-    rows = np.ascontiguousarray(u.T)  # each cluster's memberships, contiguous
+    rows = np.ascontiguousarray(u.T)  # strided column pairs read slower
     compactness = float(rows.max(axis=0).mean())
     pairs = 0.0
     for a in range(k - 1):
