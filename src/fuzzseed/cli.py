@@ -156,7 +156,7 @@ def cmd_validate(args) -> int:
     try:
         payload = json.loads(Path(args.result).read_text())
         centroids = np.array(payload["centroids"], dtype=float)
-        m = float(payload["m"])
+        m = FcmConfig(m=float(payload["m"])).m
         fw, fb, fi = (float(payload[key]) for key in ("fw", "fb", "fi"))
     except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"cannot read result {args.result}: {exc}") from exc

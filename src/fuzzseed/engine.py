@@ -226,8 +226,7 @@ def update_membership(points: np.ndarray, centroids: np.ndarray, m: float) -> np
     centroids = np.asarray(centroids, dtype=float)
     if centroids.shape[0] < 2:
         raise ValueError("need at least 2 centroids")
-    if not m > 1.0:
-        raise ValueError(f"fuzziness m must exceed 1, got {m}")
+    FcmConfig(m=m)  # the one fuzziness rule: finite and above 1
     return _fuzzify(sq_dists(centroids, points), m).T.copy()
 
 

@@ -8,13 +8,14 @@ Strategy ids (used by the CLI and benchmark reports):
     kmeanspp       d^2-weighted probabilistic spreading
     kmeanspp_x10   best of 10 kmeanspp relaunches (min final FW)
     maxmin         farthest-pair start, then farthest-from-nearest-seed
-                   (quadratic all-pairs scan; comparison oracle only)
+                   (quadratic all-pairs scan in O(n*block) memory; oracle only)
     maxmin_linear  nearest-to-grand-mean start, then farthest-from-first,
                    then farthest-from-nearest-seed; O(n*k) distances total
 
 Every argmax/argmin over data points breaks ties by lowest index, so the
 deterministic strategies are exactly reproducible. Stochastic strategies
-record their effective seed in the returned SeedSet.
+record their effective seed in the returned SeedSet. The distance-based
+strategies run the engine's distance kernel on one (p, n) copy of the points.
 """
 
 import inspect
@@ -23,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import SCHEMA, Dataset
-from .engine import EngineError, FcmConfig, FcmResult, quiet_overflow, run_fcm, sq_dists
+from .engine import (_BLOCK_CELLS, EngineError, FcmConfig, FcmResult, _cluster_major,
+                     _sq_dists_t, quiet_overflow, run_fcm)
 from .rng import RNG_NAME, derive_seed, fresh_seed, make_rng
 
 # Default comparison set; the quadratic maxmin oracle is excluded.
@@ -110,19 +112,21 @@ def seed_macqueen2(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     )
 
 
-def _spread(points: np.ndarray, chosen: list[int], k: int, pick) -> tuple[list[int], int]:
-    """Greedy seeding shared by kmeanspp and the farthest fill: completes
-    `chosen` to k indices, each next one `pick(dmin, chosen)`, where dmin
-    holds every point's squared distance to its nearest chosen seed.
+def _spread(points_t: np.ndarray, chosen: list[int], k: int, pick) -> tuple[list[int], int]:
+    """Greedy seeding shared by kmeanspp and both maxmin strategies:
+    completes `chosen` to k indices of the columns of the (p, n) array
+    `points_t`, each next one `pick(dmin, chosen)`, where dmin holds every
+    point's squared distance to its nearest chosen seed.
 
     One n-sized distance pass per seed except the last: returns (all
     indices, n*(k-1) distance evaluations).
     """
-    n = points.shape[0]
+    n = points_t.shape[1]
     chosen = list(chosen)
     dmin = np.full(n, np.inf)
     for i in range(1, k):
-        dmin = np.minimum(dmin, ((points - points[chosen[i - 1]]) ** 2).sum(axis=1))
+        c = chosen[i - 1]
+        np.minimum(dmin, _sq_dists_t(points_t[:, c : c + 1], points_t)[0], out=dmin)
         if i == len(chosen):
             chosen.append(pick(dmin, chosen))
     return chosen, n * (k - 1)
@@ -159,7 +163,7 @@ def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
         fallback = True
         return int(rng.choice(np.setdiff1d(np.arange(n), np.array(chosen))))
 
-    chosen, evals = _spread(points, [int(rng.integers(n))], k, draw)
+    chosen, evals = _spread(_cluster_major(points), [int(rng.integers(n))], k, draw)
     return SeedSet(
         centroids=points[chosen],
         method="kmeanspp",
@@ -178,40 +182,36 @@ def _farthest(dmin: np.ndarray, chosen: list[int]) -> int:
     return int(np.argmax(candidates))
 
 
-def _farthest_fill(points: np.ndarray, chosen: list[int], k: int) -> tuple[list[int], int]:
-    """Greedy farthest-point completion, linear route: one n-sized
-    distance pass per seed except the last. Returns (all indices,
-    distance evaluations)."""
-    return _spread(points, chosen, k, _farthest)
-
-
 @quiet_overflow  # run_fcm then rejects overflowing data
 def seed_maxmin_quadratic(d: Dataset, k: int) -> SeedSet:
     """All-pairs MaxMin: start from the two points at maximum squared
     distance (lowest index pair on ties), then repeatedly add the point
     whose distance to its nearest seed is largest.
 
-    Quadratic in n; kept as the deterministic comparison oracle for the
-    linear variant and excluded from the default benchmark set.
+    Quadratic in n in time, O(n * block) in memory: the distance matrix is
+    scanned _BLOCK_CELLS // n rows at a time. Kept as the deterministic
+    comparison oracle for the linear variant; not in the default bench set.
     """
     _check_k(d, k, minimum=2)
     points = d.points
+    points_t = _cluster_major(points)
     n = points.shape[0]
-    dmat = sq_dists(points, points)
-    evals = n * (n - 1) // 2
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    flat = np.where(upper, dmat, -1.0)
-    best = int(np.argmax(flat))  # row-major scan = lexicographic (i, j)
-    chosen = [best // n, best % n]
-    while len(chosen) < k:
-        dmin = dmat[:, chosen].min(axis=1)
-        dmin[chosen] = -np.inf
-        chosen.append(int(np.argmax(dmin)))
+    # The matrix is exactly symmetric with a zero diagonal, so its first
+    # row-major maximum above 0 is the lowest pair i < j at that distance;
+    # every distance 0 leaves the pair (0, 1).
+    best, chosen = 0.0, [0, 1]
+    rows = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, rows):
+        block = _sq_dists_t(points_t[:, start : start + rows], points_t)
+        at = int(np.argmax(block))
+        if block.flat[at] > best:
+            best, chosen = block.flat[at], [start + at // n, at % n]
+    chosen, _ = _spread(points_t, chosen, k, _farthest)
     return SeedSet(
         centroids=points[chosen],
         method="maxmin",
         source_indices=tuple(chosen),
-        distance_evals=evals,
+        distance_evals=n * (n - 1) // 2,
     )
 
 
@@ -225,17 +225,16 @@ def seed_maxmin_linear(d: Dataset, k: int) -> SeedSet:
     """
     _check_k(d, k, minimum=2)
     points = d.points
-    n = points.shape[0]
-    xbar = points.mean(axis=0)
-    d2_mean = ((points - xbar) ** 2).sum(axis=1)
-    evals = n
+    points_t = _cluster_major(points)
+    # points.mean, not a mean over points_t's rows, which sums in another order
+    d2_mean = _sq_dists_t(points.mean(axis=0)[:, None], points_t)[0]
     first = int(np.argmin(d2_mean))  # ties: lowest index
-    chosen, fill_evals = _farthest_fill(points, [first], k)
+    chosen, fill_evals = _spread(points_t, [first], k, _farthest)
     return SeedSet(
         centroids=points[chosen],
         method="maxmin_linear",
         source_indices=tuple(chosen),
-        distance_evals=evals + fill_evals,
+        distance_evals=points.shape[0] + fill_evals,
     )
 
 

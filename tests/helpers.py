@@ -155,6 +155,77 @@ def reference_run_fcm(d, seeds, cfg=None):
     )
 
 
+def _reference_spread(points, chosen, k, pick):
+    """The seeders' nearest-seed loop as the point-major code ran it: a
+    row sum of squared differences per seed, folded into dmin."""
+    n = points.shape[0]
+    chosen = list(chosen)
+    dmin = np.full(n, np.inf)
+    for i in range(1, k):
+        dmin = np.minimum(dmin, ((points - points[chosen[i - 1]]) ** 2).sum(axis=1))
+        if i == len(chosen):
+            chosen.append(pick(dmin, chosen))
+    return chosen, n * (k - 1)
+
+
+def _reference_farthest(dmin, chosen):
+    candidates = dmin.copy()
+    candidates[chosen] = -np.inf
+    return int(np.argmax(candidates))
+
+
+def reference_seed_kmeanspp(points, k, seed):
+    """seed_kmeanspp as the point-major seeders computed it. Returns
+    (source_indices, distance_evals, uniform_fallback)."""
+    from fuzzseed.rng import make_rng
+
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    rng = make_rng(seed)
+    fallback = False
+
+    def draw(dmin, chosen):
+        nonlocal fallback
+        total = dmin.sum()
+        if total > 0.0:
+            return int(rng.choice(n, p=dmin / total))
+        fallback = True
+        return int(rng.choice(np.setdiff1d(np.arange(n), np.array(chosen))))
+
+    chosen, evals = _reference_spread(points, [int(rng.integers(n))], k, draw)
+    return tuple(chosen), evals, fallback
+
+
+def reference_seed_maxmin_linear(points, k):
+    """seed_maxmin_linear as the point-major seeders computed it. Returns
+    (source_indices, distance_evals, uniform_fallback)."""
+    points = np.asarray(points, dtype=float)
+    first = int(np.argmin(((points - points.mean(axis=0)) ** 2).sum(axis=1)))
+    chosen, evals = _reference_spread(points, [first], k, _reference_farthest)
+    return tuple(chosen), points.shape[0] + evals, False
+
+
+def reference_seed_maxmin_quadratic(points, k):
+    """seed_maxmin_quadratic as the whole-matrix oracle computed it: the
+    n x n matrix summed feature by feature, the first maximum of its
+    strict upper triangle, then a greedy loop over matrix columns. Returns
+    (source_indices, distance_evals, uniform_fallback)."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    dmat = np.zeros((n, n))
+    for x_q in points.T:
+        diff = np.subtract.outer(x_q, x_q)
+        dmat += diff * diff
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    best = int(np.argmax(np.where(upper, dmat, -1.0)))
+    chosen = [best // n, best % n]
+    while len(chosen) < k:
+        dmin = dmat[:, chosen].min(axis=1)
+        dmin[chosen] = -np.inf
+        chosen.append(int(np.argmax(dmin)))
+    return tuple(chosen), n * (n - 1) // 2, False
+
+
 def reference_load_csv(path, label_column=None, delimiter=","):
     """load_csv cell by cell: float() and isfinite on every cell, labels
     checked where they are met. Same contract and messages as load_csv."""

@@ -41,7 +41,7 @@ from fuzzseed import (
     v_tsfd,
 )
 from fuzzseed.cli import main as cli_main
-from fuzzseed.seeding import _farthest_fill
+from fuzzseed.seeding import _farthest, _spread
 
 from .conftest import make_ruspini_like
 from .helpers import brute_force_membership, random_instance, random_membership
@@ -221,7 +221,7 @@ def test_maxmin_linear_vs_quadratic_oracle():
         points = rng.normal(size=(n, int(rng.integers(1, 5))))
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
 
-        linear_suffix, _ = _farthest_fill(points, [i, j], k)
+        linear_suffix, _ = _spread(points.T.copy(), [i, j], k, _farthest)
         # independent oracle route: fresh matrix scan each round
         dmat = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
         oracle = [i, j]

@@ -266,7 +266,8 @@ def test_validate_mismatched_data(capsys, tmp_path, ruspini_csv, line5):
     assert "does not match" in err
 
 
-@pytest.mark.parametrize("bad", [{"centroids": [[0.0, 1.0], [2.0]]}, {"m": "abc"}])
+@pytest.mark.parametrize("bad", [{"centroids": [[0.0, 1.0], [2.0]]}, {"m": "abc"}, {"m": 0.5},
+                                 {"m": float("nan")}, {"m": float("inf")}])
 def test_validate_malformed_result_is_data_error(capsys, tmp_path, ruspini_csv, bad):
     out_json = tmp_path / "fit.json"
     run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",

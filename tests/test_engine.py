@@ -77,6 +77,8 @@ def test_membership_preconditions():
         update_membership(np.zeros((3, 1)), np.zeros((1, 1)), 2.0)
     with pytest.raises(ValueError):
         update_membership(np.zeros((3, 1)), np.zeros((2, 1)), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        update_membership(np.zeros((3, 1)), np.zeros((2, 1)), np.inf)
 
 
 def test_centroids_crisp_reduces_to_means():

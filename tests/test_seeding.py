@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,15 @@ from fuzzseed import (
     seed_maxmin_quadratic,
     seed_repeated,
 )
+from fuzzseed.engine import _BLOCK_CELLS
 from fuzzseed.rng import derive_seed
-from fuzzseed.seeding import STRATEGIES, _farthest_fill
+from fuzzseed.seeding import STRATEGIES, _farthest, _spread
+
+from .helpers import (
+    reference_seed_kmeanspp,
+    reference_seed_maxmin_linear,
+    reference_seed_maxmin_quadratic,
+)
 
 
 @pytest.fixture
@@ -233,7 +242,7 @@ def test_maxmin_suffix_equivalence():
         k = int(rng.integers(3, min(8, n) + 1))
         points = rng.normal(size=(n, int(rng.integers(1, 4))))
         i, j = rng.choice(n, size=2, replace=False)
-        linear, _ = _farthest_fill(points, [int(i), int(j)], k)
+        linear, _ = _spread(points.T.copy(), [int(i), int(j)], k, _farthest)
         # quadratic route: per-round argmax over matrix mins
         dmat = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
         chosen = [int(i), int(j)]
@@ -253,6 +262,87 @@ def test_maxmin_greedy_spread_property(ruspini_like):
         dmin = ((points[:, None, :] - points[prior][None, :, :]) ** 2).sum(axis=2).min(axis=1)
         others = np.setdiff1d(np.arange(points.shape[0]), prior)
         assert dmin[idx[j]] >= dmin[others].max() - 1e-12
+
+
+def _seed_triple(ss):
+    return ss.source_indices, ss.distance_evals, ss.uniform_fallback
+
+
+def test_seeders_match_the_point_major_reference():
+    # p from 1 to 20; Gaussian, integer-lattice (exact ties, duplicates)
+    # and duplicated-row sets; scales 1e-3..1e3, offsets up to 1e6
+    rng = np.random.default_rng(15)
+    for p in range(1, 21):
+        for kind in ("normal", "lattice", "duplicates"):
+            n = int(rng.integers(2, 301))
+            if kind == "normal":
+                points = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4)
+            elif kind == "lattice":
+                points = rng.integers(-2, 3, size=(n, p)).astype(float)
+            else:
+                base = rng.normal(size=(int(rng.integers(1, 12)), p))
+                points = base[rng.integers(len(base), size=n)]
+            points = points + rng.choice([0.0, 1e3, -1e6, 1e6])
+            ds = Dataset(points=points)
+            k = int(rng.integers(2, min(n, 9) + 1))
+            assert _seed_triple(seed_maxmin_linear(ds, k)) == reference_seed_maxmin_linear(points, k)
+            assert _seed_triple(seed_maxmin_quadratic(ds, k)) == reference_seed_maxmin_quadratic(
+                points, k
+            )
+            for seed in range(3):
+                k = int(rng.integers(1, min(n, 9) + 1))
+                assert _seed_triple(seed_kmeanspp(ds, k, seed=seed)) == reference_seed_kmeanspp(
+                    points, k, seed
+                )
+
+
+def test_maxmin_quadratic_memory_is_not_quadratic():
+    ds = Dataset(points=np.random.default_rng(16).normal(size=(4000, 2)))
+    tracemalloc.start()
+    try:
+        seed_maxmin_quadratic(ds, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # an n x n float matrix alone is 128 MB
+
+
+# The oracle scans the distance matrix _BLOCK_CELLS // n rows at a time;
+# at n=600 that is several row blocks.
+BLOCKED_N = 600
+BLOCK_ROWS = _BLOCK_CELLS // BLOCKED_N
+
+
+def _blocked_noise():
+    assert 1 < BLOCK_ROWS < BLOCKED_N // 5
+    return np.random.default_rng(17).uniform(0.0, 1.0, size=(BLOCKED_N, 2))
+
+
+def test_maxmin_quadratic_pair_in_a_later_block():
+    points = _blocked_noise()
+    i, j = 2 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS + 3  # i ends the second block
+    points[i], points[j] = (-10.0, -10.0), (10.0, 10.0)
+    ds = Dataset(points=points)
+    ss = seed_maxmin_quadratic(ds, 2)
+    assert ss.source_indices == (i, j)
+    assert ss.distance_evals == BLOCKED_N * (BLOCKED_N - 1) // 2
+    assert _seed_triple(seed_maxmin_quadratic(ds, 6)) == reference_seed_maxmin_quadratic(points, 6)
+
+
+def test_maxmin_quadratic_tie_across_blocks_goes_to_the_earlier_pair():
+    points = _blocked_noise()
+    # (0, BLOCK_ROWS) and a pair two blocks later are both at d2 = 400
+    points[0], points[BLOCK_ROWS] = (-10.0, 0.0), (10.0, 0.0)
+    points[3 * BLOCK_ROWS + 2], points[5 * BLOCK_ROWS + 1] = (0.0, -10.0), (0.0, 10.0)
+    ds = Dataset(points=points)
+    assert seed_maxmin_quadratic(ds, 2).source_indices == (0, BLOCK_ROWS)
+    assert _seed_triple(seed_maxmin_quadratic(ds, 5)) == reference_seed_maxmin_quadratic(points, 5)
+
+
+def test_maxmin_quadratic_identical_points_over_blocks():
+    ds = Dataset(points=np.full((BLOCKED_N, 3), 2.5))
+    assert seed_maxmin_quadratic(ds, 2).source_indices == (0, 1)
+    assert seed_maxmin_quadratic(ds, 4).source_indices == (0, 1, 2, 3)
 
 
 def test_distinct_indices_across_strategies(ruspini_like):
