@@ -38,6 +38,18 @@ CRITERIA = {
 FORMATS = ("json", "csv", "md")
 
 
+def resolve_formats(names) -> tuple[str, ...]:
+    """The FORMATS entries for a list of format names: blank names are
+    dropped and "markdown" / "markdown-table" mean "md". An unknown name
+    raises ValueError."""
+    aliases = {"markdown": "md", "markdown-table": "md"}
+    formats = tuple(aliases.get(f.strip(), f.strip()) for f in names if f.strip())
+    unknown = [f for f in formats if f not in FORMATS]
+    if unknown:
+        raise ValueError(f"unknown formats: {unknown}; choose from {', '.join(FORMATS)}")
+    return formats
+
+
 @dataclass
 class BenchJob:
     """One dataset to benchmark; `error` marks a failed load (the run
@@ -314,10 +326,8 @@ def _table(rows: list[list[str]], header: list[str], fmt: str) -> str:
 def write_report(report: ComparisonReport, out_dir, formats=FORMATS) -> list[Path]:
     """Write report.json plus per-dataset value/rank tables and the
     average-rank table (methods as rows, criteria as columns), in the
-    given subset of FORMATS."""
-    unknown = [f for f in formats if f not in FORMATS]
-    if unknown:
-        raise ValueError(f"unknown formats: {unknown}; choose from {', '.join(FORMATS)}")
+    given formats (see resolve_formats)."""
+    formats = resolve_formats(formats)
     out_dir = Path(out_dir)
     tables = out_dir / "tables"
     tables.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ always echoed in the output.
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -20,9 +21,10 @@ import numpy as np
 from .data import SCHEMA, STANDARDIZE_MODES, DataError, load_csv, standardize, write_csv
 from .engine import EngineError, FcmConfig, update_membership
 from .rng import fresh_seed
-from .seeding import DEFAULT_BENCH_METHODS, STOCHASTIC, STRATEGIES, fit_method, make_seeds
+from .seeding import DEFAULT_BENCH_METHODS, STRATEGIES, fit_method, make_seeds
 from .synth import dataset_from_spec
-from .bench import FORMATS, load_manifest, rank_methods, run_comparison, write_report
+from .bench import (FORMATS, load_manifest, rank_methods, resolve_formats, run_comparison,
+                    write_report)
 from .validity import score_partition
 
 
@@ -114,7 +116,7 @@ def cmd_seed(args) -> int:
     ds = _load_dataset(args)
     seed = _effective_seed(args)
     seeds = make_seeds(ds, args.k, args.method, seed=seed)
-    if args.method in STOCHASTIC:
+    if seeds.rng_seed is not None:
         print(f"seed={seeds.rng_seed}", file=sys.stderr)
     _emit(seeds.to_dict(), None)
     return 0
@@ -125,7 +127,7 @@ def cmd_fit(args) -> int:
     ds = _load_dataset(args)
     seed = _effective_seed(args)
     seeds, result = fit_method(ds, args.k, args.method, cfg=cfg, seed=seed)
-    if args.method in STOCHASTIC:
+    if seeds.rng_seed is not None:
         print(f"seed={seeds.rng_seed}", file=sys.stderr)
 
     payload = result.to_dict()
@@ -153,25 +155,30 @@ def _load_membership(path, n, k):
 
 def cmd_validate(args) -> int:
     ds = _load_dataset(args)
+    # Reading, checking and scoring the result file is one step: any defect
+    # of the file, including a value an index rejects, is a DataError.
     try:
         payload = json.loads(Path(args.result).read_text())
         centroids = np.array(payload["centroids"], dtype=float)
         m = FcmConfig(m=float(payload["m"])).m
         fw, fb, fi = (float(payload[key]) for key in ("fw", "fb", "fi"))
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        if centroids.ndim != 2 or centroids.shape[1] != ds.p:
+            raise ValueError(f"result dimension {centroids.shape} does not match data p={ds.p}")
+        if not (np.isfinite([fw, fb, fi]).all() and np.isfinite(centroids).all()):
+            raise ValueError("fw, fb, fi and the centroids must be finite")
+        n = payload.get("n", ds.n)
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n != ds.n:
+            raise ValueError(f"result n={n!r} does not match data n={ds.n}")
+        if args.membership:
+            u = _load_membership(args.membership, ds.n, centroids.shape[0])
+        else:
+            u = update_membership(ds.points, centroids, m)
+        out = score_partition(ds.n, centroids, u, fw, fb, fi).to_dict()
+    # JSONDecodeError is a ValueError, float() of an integer beyond float64 an OverflowError
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise DataError(f"cannot read result {args.result}: {exc}") from exc
-    if centroids.ndim != 2 or centroids.shape[1] != ds.p:
-        raise DataError(
-            f"result dimension {centroids.shape} does not match data p={ds.p}"
-        )
-    if "n" in payload and int(payload["n"]) != ds.n:
-        raise DataError(f"result n={payload['n']} does not match data n={ds.n}")
-    if args.membership:
-        u = _load_membership(args.membership, ds.n, centroids.shape[0])
-    else:
+    if not args.membership:
         print("membership not supplied; recomputing from centroids", file=sys.stderr)
-        u = update_membership(ds.points, centroids, m)
-    out = score_partition(ds.n, centroids, u, fw, fb, fi).to_dict()
     out["schema"] = SCHEMA
     _emit(out, None)
     return 0
@@ -203,16 +210,7 @@ def cmd_bench(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in STRATEGIES]
-    if unknown:
-        raise ValueError(f"unknown methods: {unknown}")
-    aliases = {"markdown": "md", "markdown-table": "md"}
-    formats = tuple(
-        aliases.get(f.strip(), f.strip()) for f in args.formats.split(",") if f.strip()
-    )
-    unknown = [f for f in formats if f not in FORMATS]
-    if unknown:
-        raise ValueError(f"unknown formats: {unknown}; choose from {', '.join(FORMATS)}")
+    formats = resolve_formats(args.formats.split(","))
     seed = _effective_seed(args)
     if seed is None:
         seed = fresh_seed()

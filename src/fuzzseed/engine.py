@@ -215,6 +215,7 @@ def _fi(points_t: np.ndarray, row_mass: np.ndarray) -> float:
     return float((row_mass * _sq_dists_t(xbar, points_t)[0]).sum())
 
 
+@quiet_overflow
 def update_membership(points: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
     """Membership update: u_ik = 1 / sum_j (d2_ik / d2_ij)^(1/(m-1)).
 
@@ -222,12 +223,20 @@ def update_membership(points: np.ndarray, centroids: np.ndarray, m: float) -> np
     split mass 1 equally among the coinciding centroids. Weights are
     normalized by each point's minimum distance before exponentiation so
     the computation cannot overflow. Returns a C-ordered (n, k) array.
+    A squared distance that is not finite (one that overflows float64)
+    raises EngineError.
     """
     centroids = np.asarray(centroids, dtype=float)
     if centroids.shape[0] < 2:
         raise ValueError("need at least 2 centroids")
     FcmConfig(m=m)  # the one fuzziness rule: finite and above 1
-    return _fuzzify(sq_dists(centroids, points), m).T.copy()
+    d2 = sq_dists(centroids, points)
+    if not np.isfinite(d2).all():
+        raise EngineError(
+            "non-finite squared distances to the centroids: they overflow float64 "
+            "(rescale the data)"
+        )
+    return _fuzzify(d2, m).T.copy()
 
 
 def update_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:

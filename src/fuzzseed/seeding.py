@@ -291,6 +291,7 @@ def seed_repeated(
     inner = SEEDERS.get(strategy)
     if not callable(inner) or strategy not in STOCHASTIC:
         raise ValueError(f"seed_repeated needs a stochastic strategy, got {strategy!r}")
+    _check_k(d, k, minimum=2)  # every relaunch runs FCM
     cfg = cfg or FcmConfig()
     seed = fresh_seed() if seed is None else int(seed)
     label = label or strategy
@@ -337,6 +338,7 @@ def fit_method(d: Dataset, k: int, method: str, cfg: FcmConfig | None = None,
     """Seed with the named strategy and run FCM to convergence."""
     cfg = cfg or FcmConfig()
     seeder = _seeder(method)
+    _check_k(d, k, minimum=2)  # FCM needs two seeds, whichever strategy draws them
     if isinstance(seeder, str):
         return seed_repeated(seeder, d, k, seed=seed, cfg=cfg, label=method)
     seeds = make_seeds(d, k, method, seed=seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .engine import FcmResult, sq_dists
+from .engine import EngineError, FcmResult, quiet_overflow, sq_dists
 
 INDEX_DIRECTIONS = {
     "pc": "maximize",
@@ -104,14 +104,22 @@ def v_fs(fw: float, fb: float) -> float:
     return fw - fb
 
 
+@quiet_overflow
 def v_xb(fw: float, n: int, centroids: np.ndarray) -> float:
     """Xie-Beni index: FW / (n * min pairwise squared centroid distance);
     minimize. FW is the FCM objective of the partition, so the fit's own
-    value serves. Coincident centroids give +inf."""
+    value serves. Coincident centroids give +inf; a squared centroid
+    distance that is not finite (one that overflows float64) raises
+    EngineError."""
     centroids = np.asarray(centroids, dtype=float)
     if centroids.shape[0] < 2:
         raise ValueError("index needs at least 2 centroids")
     cd2 = sq_dists(centroids, centroids)
+    if not np.isfinite(cd2).all():
+        raise EngineError(
+            "non-finite squared distances between centroids: they overflow float64 "
+            "(rescale the data)"
+        )
     np.fill_diagonal(cd2, np.inf)
     sep = float(cd2.min())
     if sep == 0.0:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzseed import write_csv
 from fuzzseed.cli import main
@@ -140,6 +144,21 @@ def test_overflowing_data_prints_no_numpy_warning(capsys, tmp_path, huge_csv):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("method", STRATEGIES)
+def test_k_below_two_is_usage_error_for_fit(capsys, line5, method):
+    base = ("--data", str(line5), "--k", "1", "--method", method, "--seed", "1")
+    code, out, err = run_cli(capsys, "fit", *base)
+    assert (code, out) == (1, "")
+    assert "k must be >= 2, got 1" in err
+    # seeding alone draws one seed, except where the strategy runs FCM or needs a pair
+    code, out, err = run_cli(capsys, "seed", *base)
+    if method in ("macqueen1", "macqueen2", "kmeanspp"):
+        assert code == 0 and json.loads(out)["k"] == 1
+    else:
+        assert (code, out) == (1, "")
+        assert "k must be >= 2, got 1" in err
+
+
 @pytest.mark.parametrize("rows", ["1,1\n1,1\n1,1\n1,1\n", "0.1,0.7\n0.1,0.7\n0.1,0.7\n"])
 def test_fit_identical_points_is_engine_error(capsys, tmp_path, rows):
     data = tmp_path / "same.csv"
@@ -267,7 +286,11 @@ def test_validate_mismatched_data(capsys, tmp_path, ruspini_csv, line5):
 
 
 @pytest.mark.parametrize("bad", [{"centroids": [[0.0, 1.0], [2.0]]}, {"m": "abc"}, {"m": 0.5},
-                                 {"m": float("nan")}, {"m": float("inf")}])
+                                 {"m": float("nan")}, {"m": float("inf")},
+                                 {"fw": float("nan")}, {"centroids": [[float("nan"), 1.0], [0.0, 1.0]]},
+                                 {"n": None}, {"n": "abc"}, {"n": 75.5}, {"n": True},
+                                 {"fi": -1}, {"fb": -5}, {"fb": float("inf")},
+                                 {"centroids": [[0.0, 1.0]]}])
 def test_validate_malformed_result_is_data_error(capsys, tmp_path, ruspini_csv, bad):
     out_json = tmp_path / "fit.json"
     run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
@@ -277,6 +300,23 @@ def test_validate_malformed_result_is_data_error(capsys, tmp_path, ruspini_csv, 
                              "--data", str(ruspini_csv), "--label-column", "label")
     assert (code, out) == (2, "")
     assert err.startswith(f"fuzzseed: cannot read result {out_json}: ")
+
+
+def test_validate_overflowing_centroid_is_engine_error(capsys, tmp_path, ruspini_csv):
+    out_json = tmp_path / "fit.json"
+    out_u = tmp_path / "u.csv"
+    run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
+            "--k", "4", "--method", "maxmin_linear",
+            "--out", str(out_json), "--membership-out", str(out_u))
+    payload = json.loads(out_json.read_text())
+    payload["centroids"][0] = [1e200, 0.0]
+    out_json.write_text(json.dumps(payload))
+    base = ("validate", "--result", str(out_json), "--data", str(ruspini_csv),
+            "--label-column", "label")
+    for membership in ((), ("--membership", str(out_u))):
+        code, out, err = run_cli(capsys, *base, *membership)
+        assert (code, out) == (2, ""), membership
+        assert "non-finite" in err and "overflow float64" in err and "Warning" not in err
 
 
 def test_validate_non_numeric_membership_is_data_error(capsys, tmp_path, ruspini_csv):
@@ -294,6 +334,55 @@ def test_validate_non_numeric_membership_is_data_error(capsys, tmp_path, ruspini
     )
     assert code == 2
     assert "'abc' at line 4, column 1" in err
+
+
+@pytest.fixture(scope="module")
+def fitted_ruspini(tmp_path_factory):
+    """A ruspini_like CSV with its maxmin_linear fit and membership files."""
+    root = tmp_path_factory.mktemp("fitted")
+    data, result, membership = root / "rl.csv", root / "fit.json", root / "u.csv"
+    write_csv(make_ruspini_like(), data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["fit", "--data", str(data), "--label-column", "label", "--k", "4",
+                     "--method", "maxmin_linear", "--out", str(result),
+                     "--membership-out", str(membership)]) == 0
+    return data, result, membership
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=8), st.integers(),
+                         st.floats())
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(("centroids", "m", "fw", "fb", "fi", "n")),
+       value=_JSON_VALUES,
+       centroid_edit=st.one_of(st.none(), st.just("ragged"), st.floats(allow_nan=False)))
+def test_validate_any_result_value_exits_0_or_2(fitted_ruspini, field, value, centroid_edit):
+    data, result, membership = fitted_ruspini
+    payload = json.loads(result.read_text())
+    if field == "centroids" and centroid_edit == "ragged":
+        value = [row[:1] if i == 0 else row for i, row in enumerate(payload["centroids"])]
+    elif field == "centroids" and centroid_edit is not None:
+        value = [[v * centroid_edit for v in row] for row in payload["centroids"]]
+    payload[field] = value
+    patched = result.with_name("patched.json")
+    patched.write_text(json.dumps(payload))
+    for extra in ((), ("--membership", str(membership))):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["validate", "--result", str(patched), "--data", str(data),
+                         "--label-column", "label", *extra])
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == ""
 
 
 def test_generate_shapes_and_determinism(capsys, tmp_path):

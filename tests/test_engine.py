@@ -392,6 +392,12 @@ def test_run_fcm_non_finite_is_engine_error():
         run_fcm(Dataset(points=points, name="huge"), points[:3], FcmConfig())
 
 
+def test_update_membership_non_finite_is_engine_error():
+    points = np.random.default_rng(12).normal(size=(30, 2))
+    with pytest.raises(EngineError, match="non-finite"):
+        update_membership(points, [[1e200, 0.0], [0.0, 0.0]], 2.0)
+
+
 def test_run_fcm_identical_points_is_engine_error():
     # three copies of (0.1, 0.7) give FI = 1.9e-32, not 0, from the rounded
     # grand mean: the rows are compared, not FI

@@ -3,6 +3,7 @@ import pytest
 
 from fuzzseed import (
     Dataset,
+    EngineError,
     FcmConfig,
     INDEX_DIRECTIONS,
     fit_method,
@@ -131,6 +132,11 @@ def test_xb_identical_centroids_is_inf():
     c = np.array([[1.0], [1.0]])
     fw = fuzzy_within(d.points, c, np.full((2, 2), 0.5), 2.0)
     assert np.isinf(v_xb(fw, d.n, c))
+
+
+def test_xb_non_finite_centroid_distance_is_engine_error():
+    with pytest.raises(EngineError, match="non-finite"):
+        v_xb(1.0, 2, np.array([[1e200, 0.0], [0.0, 0.0]]))
 
 
 def test_tsfd_values():
