@@ -147,9 +147,26 @@ def cmd_fit(args) -> int:
 
 
 def _load_membership(path, n, k):
+    """The (n, k) membership CSV at `path`: every value in [0, 1], every
+    row summing to 1 within 1e-9; otherwise a DataError naming the first
+    bad line."""
     u = load_csv(path).points
     if u.shape != (n, k):
         raise DataError(f"{path}: membership shape {u.shape} does not match (n={n}, k={k})")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values sum to inf or nan
+        sums = u.sum(axis=1)
+    ok = (np.abs(sums - 1.0) <= 1e-9) & (u.min(axis=1) >= 0.0) & (u.max(axis=1) <= 1.0)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        in_range = 0.0 <= u[row].min() and u[row].max() <= 1.0
+        with open(path, newline="") as fh:  # the data rows are the last n non-blank ones
+            lines = [i + 1 for i, cells in enumerate(csv.reader(fh)) if cells]
+        problem = (f"a sum of {float(sums[row])!r}" if in_range
+                   else "a value outside [0, 1]")
+        raise DataError(
+            f"{path}: membership row at line {lines[row - n]} has {problem}; "
+            "values must lie in [0, 1] and each row sum to 1"
+        )
     return u
 
 
@@ -166,6 +183,9 @@ def cmd_validate(args) -> int:
             raise ValueError(f"result dimension {centroids.shape} does not match data p={ds.p}")
         if not (np.isfinite([fw, fb, fi]).all() and np.isfinite(centroids).all()):
             raise ValueError("fw, fb, fi and the centroids must be finite")
+        if fw < 0.0 or fb < 0.0 or abs(fi - (fw + fb)) > 1e-9 * fi:
+            raise ValueError(f"need fw >= 0, fb >= 0 and fi = fw + fb within 1e-9 relative, "
+                             f"got {fw!r}, {fb!r}, {fi!r}")
         n = payload.get("n", ds.n)
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n != ds.n:
             raise ValueError(f"result n={n!r} does not match data n={ds.n}")
@@ -197,7 +217,7 @@ def cmd_generate(args) -> int:
             "name": ds.name,
             "n": ds.n,
             "p": ds.p,
-            "labels": int(len(np.unique(ds.labels))) if ds.labels is not None else 0,
+            "labels": len(set(ds.labels.tolist())) if ds.labels is not None else 0,
             "path": str(args.out),
         },
         None,

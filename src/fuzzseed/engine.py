@@ -11,12 +11,13 @@ FB = sum_k (sum_i u_ik^m) d2(c_k, xbar). All distances are squared
 Euclidean; no other metric is supported.
 
 The kernel works cluster-major: points as a C-ordered (p, n) array,
-distances, u and u^m as (k, n) arrays, distances and memberships filled
-one cache-sized column block at a time. run_fcm centres the points on
-their grand mean once and keeps its centroids centred until it returns
-them, so FW, FB and FI are summed from differences of the data's own
-scale whatever its offset. The public single-step functions run the same
-kernel on the coordinates they are given.
+distances, u and u^m as (k, n) arrays. Small distance arrays are
+computed in one broadcast pass; larger ones, and the memberships, are
+filled one cache-sized column block at a time. run_fcm centres the
+points on their grand mean once and keeps its centroids centred until it
+returns them, so FW, FB and FI are summed from differences of the data's
+own scale whatever its offset. The public single-step functions run the
+same kernel on the coordinates they are given.
 """
 
 from dataclasses import dataclass
@@ -121,7 +122,8 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Output cells per column block of the distance and membership kernel:
 # 2**16 float64 cells (512 KiB) keep a block and its scratch inside a
 # core's L2 cache, so the per-feature passes over a large (k, n) array
-# run from cache instead of from memory.
+# run from cache instead of from memory. A distance pass whose whole
+# (p, k, n) difference tensor fits it is made in one broadcast instead.
 _BLOCK_CELLS = 1 << 16
 # Narrower blocks run slower than the whole array: numpy then loops over
 # many short row segments (at k=25, n=1e5, p=16, 2621-column blocks took
@@ -150,22 +152,40 @@ def _column_blocks(rows: int, cols: int) -> list[slice]:
 def _sq_dists_t(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     """Squared distances between the columns of two (p, .) arrays.
 
-    Fills the output one column block at a time (_column_blocks), adding
-    (a_q - b_q)^2 in feature order, the first square written in place;
-    the scratch memory is one block and no (len(a), len(b), p) tensor is
-    built. A point equal to a centroid gets an exact 0, which the
+    Both paths add (a_q - b_q)^2 in feature order, so they agree to the
+    bit, and a point equal to a centroid gets an exact 0, which the
     coincident-point rule relies on.
+
+    When the whole (p, len(a), len(b)) difference tensor fits
+    _BLOCK_CELLS cells and the output has at least 2 cells: one broadcast
+    subtraction, an in-place square and a sum over the feature axis, 3
+    numpy calls instead of about 3p. numpy sums that axis in order only
+    when the tensor is C-ordered, which the explicit buffer ensures
+    whatever the operands' order (for an F-ordered operand such as
+    centroids.T the default output order would make the feature axis
+    contiguous); it sums a one-cell output pairwise, so that takes the
+    loop.
+
+    Otherwise the output is filled one column block at a time
+    (_column_blocks), the first square written in place, with one block
+    of scratch memory and no tensor.
     """
-    if not len(a_t):  # no features: every distance is 0
-        return np.zeros((a_t.shape[1], b_t.shape[1]))
-    out = np.empty((a_t.shape[1], b_t.shape[1]))
-    blocks = _column_blocks(*out.shape)
-    scratch = np.empty((out.shape[0], blocks[0].stop))
-    for cols in blocks:
-        block, tmp = out[:, cols], scratch[:, : cols.stop - cols.start]
-        np.subtract.outer(a_t[0], b_t[0, cols], out=block)
+    p, rows, cols = a_t.shape[0], a_t.shape[1], b_t.shape[1]
+    if not p:  # no features: every distance is 0
+        return np.zeros((rows, cols))
+    if p * rows * cols <= _BLOCK_CELLS and rows * cols >= 2:
+        diffs = np.empty((p, rows, cols))
+        np.subtract(a_t[:, :, None], b_t[:, None, :], out=diffs)
+        diffs *= diffs
+        return np.add.reduce(diffs, axis=0)
+    out = np.empty((rows, cols))
+    blocks = _column_blocks(rows, cols)
+    scratch = np.empty((rows, blocks[0].stop))
+    for span in blocks:
+        block, tmp = out[:, span], scratch[:, : span.stop - span.start]
+        np.subtract.outer(a_t[0], b_t[0, span], out=block)
         block *= block
-        for a_q, b_q in zip(a_t[1:], b_t[1:, cols]):
+        for a_q, b_q in zip(a_t[1:], b_t[1:, span]):
             np.subtract.outer(a_q, b_q, out=tmp)
             tmp *= tmp
             block += tmp
@@ -179,15 +199,16 @@ def _fuzzify(d2: np.ndarray, m: float) -> np.ndarray:
     for cols in _column_blocks(*d2.shape):
         block = d2[:, cols]
         dmin = block.min(axis=0)
-        coincident = np.flatnonzero(dmin == 0.0)
-        if coincident.size:
+        coincide = not dmin.all()  # some point sits on a centroid
+        if coincide:
+            coincident = np.flatnonzero(dmin == 0.0)
             hits = block[:, coincident] == 0.0
             block[:, coincident] = 1.0  # placeholders, overwritten below
             dmin[coincident] = 1.0
         block /= dmin
         block **= -1.0 / (m - 1.0)
         block /= block.sum(axis=0)
-        if coincident.size:
+        if coincide:
             block[:, coincident] = hits / hits.sum(axis=0)
     return d2
 
@@ -195,9 +216,9 @@ def _fuzzify(d2: np.ndarray, m: float) -> np.ndarray:
 def _centroids(points_t: np.ndarray, um: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """(k, p) centroids from (p, n) points, (k, n) u^m and its row sums;
     a cluster of zero mass collapses."""
-    empty = np.flatnonzero(mass == 0.0)
-    if empty.size:
-        raise CollapsedClusterError(f"cluster {empty[0]} has zero membership mass")
+    if not mass.all():
+        empty = np.flatnonzero(mass == 0.0)[0]
+        raise CollapsedClusterError(f"cluster {empty} has zero membership mass")
     return (um @ points_t.T) / mass[:, None]
 
 

@@ -111,7 +111,7 @@ def add_skewed_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
     seed = fresh_seed() if spec.rng_seed is None else spec.rng_seed
     rng = make_rng(seed)
     new_points, new_labels = [], []
-    for label in np.unique(d.labels):
+    for label in sorted(set(d.labels.tolist())):  # np.unique would import numpy.ma
         group = d.points[d.labels == label]
         if group.shape[0] < 2:
             raise ValueError(f"label {label} has fewer than 2 points; sd undefined")

@@ -290,7 +290,7 @@ def test_validate_mismatched_data(capsys, tmp_path, ruspini_csv, line5):
                                  {"fw": float("nan")}, {"centroids": [[float("nan"), 1.0], [0.0, 1.0]]},
                                  {"n": None}, {"n": "abc"}, {"n": 75.5}, {"n": True},
                                  {"fi": -1}, {"fb": -5}, {"fb": float("inf")},
-                                 {"centroids": [[0.0, 1.0]]}])
+                                 {"centroids": [[0.0, 1.0]]}, {"fw": -5.0}, {"fb": 0.0}])
 def test_validate_malformed_result_is_data_error(capsys, tmp_path, ruspini_csv, bad):
     out_json = tmp_path / "fit.json"
     run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
@@ -334,6 +334,33 @@ def test_validate_non_numeric_membership_is_data_error(capsys, tmp_path, ruspini
     )
     assert code == 2
     assert "'abc' at line 4, column 1" in err
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["header", "no_header"])
+@pytest.mark.parametrize("patch, problem", [
+    pytest.param(lambda v: "-5", "a value outside [0, 1]", id="negative"),
+    pytest.param(lambda v: "1e200", "a value outside [0, 1]", id="huge"),
+    pytest.param(lambda v: repr(v / 2), "a sum of 0.", id="halved"),
+])
+def test_validate_invalid_membership_is_data_error(capsys, tmp_path, fitted_ruspini, header,
+                                                   patch, problem):
+    # one cell of a `fit --membership-out` CSV patched: the largest of row 5
+    data, result, membership = fitted_ruspini
+    lines = membership.read_text().splitlines()[0 if header else 1:]
+    row = [float(v) for v in lines[4 + header].split(",")]
+    top = int(np.argmax(row))
+    lines[4 + header] = ",".join(patch(v) if j == top else repr(v) for j, v in enumerate(row))
+    patched = tmp_path / "u.csv"
+    patched.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "validate", "--result", str(result), "--data",
+                                 str(data), "--label-column", "label", "--membership",
+                                 str(patched))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"fuzzseed: {patched}: membership row at line {5 + header} has {problem}"
+    )
 
 
 @pytest.fixture(scope="module")

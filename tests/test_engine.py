@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,29 @@ def test_sq_dists_matches_per_feature_accumulation_bitwise():
             assert got.flags.c_contiguous
             assert np.array_equal(got, expected)
             assert np.array_equal(got, whole_array_sq_dists_t(a.T.copy(), b.T.copy()))
+
+
+def test_sq_dists_t_broadcast_pass_matches_whole_array_bitwise():
+    # A (p, rows, cols) tensor within _BLOCK_CELLS takes the broadcast pass,
+    # one cell more the loop; one-cell, one-row and one-column outputs;
+    # F-ordered operands, as _fb passes centroids.T; 1e8 offsets; exact zeros
+    rng = np.random.default_rng(16)
+    for p in (1, 4, 8, 16, 33):
+        widest = engine._BLOCK_CELLS // p  # one-row outputs up to this width fit
+        shapes = [(1, 1), (1, 40), (7, 1), (10, 60), (1, widest), (1, widest + 1),
+                  (4, widest // 4), (4, widest // 4 + 1)]
+        for (rows, cols), offset, _ in itertools.product(shapes, (0.0, 1e8), range(3)):
+            a = rng.normal(size=(rows, p)) * 10.0 ** rng.uniform(-3, 3) + offset
+            b = rng.normal(size=(cols, p)) + offset
+            if rows > 1:
+                a[-1] = b[0]
+            if cols > 1:
+                b[-1] = a[0]
+            expected = whole_array_sq_dists_t(a.T.copy(), b.T.copy())
+            for a_t, b_t in [(a.T.copy(), b.T.copy()), (a.T, b.T), (a.T, b.T.copy())]:
+                got = engine._sq_dists_t(a_t, b_t)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, expected), (p, rows, cols, offset)
 
 
 def block_boundary_instance(rng, k, n, p):

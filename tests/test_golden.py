@@ -3,6 +3,7 @@ every strategy's fits with the point-major reference engine of
 helpers.reference_run_fcm."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,9 @@ DEMO_MANIFEST = Path(__file__).resolve().parents[1] / "demo" / "manifest.json"
 # sha256 of report.json from `fuzzseed bench --manifest demo/manifest.json --seed 42`
 DEMO_REPORT_SHA256 = "9086661924647ba6d6546fc02bda5217efb26cecba4360740b5636155a28b0f0"
 
+# sha256 of the fits of test_wide_fits_are_pinned: seed and result JSON, membership bytes
+WIDE_FITS_SHA256 = "65478a8df45798b82e2edb76f1bede9eefa1a33f0f9a2c16bd4ae918abea8b15"
+
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_demo_report_is_pinned(tmp_path, capsys, jobs):
@@ -31,6 +35,21 @@ def test_demo_report_is_pinned(tmp_path, capsys, jobs):
     capsys.readouterr()
     assert code == 0
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == DEMO_REPORT_SHA256
+
+
+def test_wide_fits_are_pinned():
+    # 8 and 16 features: numpy sums an axis of 8 or more terms pairwise
+    # unless it runs along the outer loop, which would move low bits of the
+    # distances and FB; the demo data have at most 3 features
+    digest = hashlib.sha256()
+    for p in (8, 16):
+        d = gen_gaussian_clusters(GaussianSpec(k=4, size=50, sigma=0.5, dims=p,
+                                               rng_seed=500 + p))
+        for method in ("maxmin_linear", "kmeanspp", "faber"):
+            seeds, result = fit_method(d, 4, method, cfg=FcmConfig(), seed=42)
+            digest.update(json.dumps([seeds.to_dict(), result.to_dict()]).encode())
+            digest.update(result.membership.tobytes())
+    assert digest.hexdigest() == WIDE_FITS_SHA256
 
 
 def parity_corpus():
