@@ -265,19 +265,12 @@ def _badness(value, direction: str) -> float:
     return -v if direction == "maximize" else v
 
 
-def _average_ranks(keys: list[float]) -> np.ndarray:
-    """1-based ascending ranks; equal keys share the mean of the ranks they
-    cover. A NaN key makes every rank NaN."""
-    keys = np.asarray(keys, dtype=float)
+def _average_ranks(keys: list[float]) -> list[float]:
+    """Ascending ranks #{smaller keys} + (#{equal keys} + 1) / 2: equal keys
+    share the mean of the ranks they cover. A NaN key makes every rank NaN."""
     if np.isnan(keys).any():
-        return np.full(keys.size, np.nan)
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], keys.size]
-    ranks = np.empty(keys.size)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
+        return [np.nan] * len(keys)
+    return [sum(y < x for y in keys) + (sum(y == x for y in keys) + 1) / 2 for x in keys]
 
 
 def rank_methods(report: ComparisonReport) -> ComparisonReport:

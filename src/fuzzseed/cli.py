@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SCHEMA, STANDARDIZE_MODES, DataError, load_csv, standardize, write_csv
-from .engine import EngineError, FcmConfig, update_membership
+from .engine import EngineError, FcmConfig, _inertia_fault, update_membership
 from .rng import fresh_seed
 from .seeding import DEFAULT_BENCH_METHODS, STRATEGIES, fit_method, make_seeds
 from .synth import dataset_from_spec
@@ -183,9 +183,8 @@ def cmd_validate(args) -> int:
             raise ValueError(f"result dimension {centroids.shape} does not match data p={ds.p}")
         if not (np.isfinite([fw, fb, fi]).all() and np.isfinite(centroids).all()):
             raise ValueError("fw, fb, fi and the centroids must be finite")
-        if fw < 0.0 or fb < 0.0 or abs(fi - (fw + fb)) > 1e-9 * fi:
-            raise ValueError(f"need fw >= 0, fb >= 0 and fi = fw + fb within 1e-9 relative, "
-                             f"got {fw!r}, {fb!r}, {fi!r}")
+        if fault := _inertia_fault(fw, fb, fi):
+            raise ValueError(fault)
         n = payload.get("n", ds.n)
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n != ds.n:
             raise ValueError(f"result n={n!r} does not match data n={ds.n}")

@@ -41,6 +41,19 @@ class CollapsedClusterError(EngineError):
 quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
+def _finite(what: str, *values) -> None:
+    """The one overflow rule: EngineError unless every value (float or array) is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise EngineError(f"non-finite {what}: squared distances overflow float64 (rescale the data)")
+
+
+def _inertia_fault(fw: float, fb: float, fi: float) -> str | None:
+    """How fw, fb, fi break the inertia rule (a NaN does), or None when they keep it."""
+    if not (fw >= 0.0 and fb >= 0.0 and fi > 0.0 and abs(fi - (fw + fb)) <= 1e-9 * fi):
+        return (f"need fw >= 0, fb >= 0, fi > 0 and fi = fw + fb within 1e-9 relative, "
+                f"got {fw!r}, {fb!r}, {fi!r}")
+
+
 @dataclass(frozen=True)
 class FcmConfig:
     """Iteration parameters: finite fuzziness m > 1, finite relative-FW
@@ -244,19 +257,14 @@ def update_membership(points: np.ndarray, centroids: np.ndarray, m: float) -> np
     split mass 1 equally among the coinciding centroids. Weights are
     normalized by each point's minimum distance before exponentiation so
     the computation cannot overflow. Returns a C-ordered (n, k) array.
-    A squared distance that is not finite (one that overflows float64)
-    raises EngineError.
+    A squared distance that overflows float64 raises EngineError.
     """
     centroids = np.asarray(centroids, dtype=float)
     if centroids.shape[0] < 2:
         raise ValueError("need at least 2 centroids")
     FcmConfig(m=m)  # the one fuzziness rule: finite and above 1
     d2 = sq_dists(centroids, points)
-    if not np.isfinite(d2).all():
-        raise EngineError(
-            "non-finite squared distances to the centroids: they overflow float64 "
-            "(rescale the data)"
-        )
+    _finite("distances to the centroids", d2)
     return _fuzzify(d2, m).T.copy()
 
 
@@ -290,10 +298,10 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     Stops when the relative FW change drops below cfg.epsilon (a previous
     FW of exactly 0 counts as converged) or at cfg.max_iterations. One
     iteration is one completed membership+centroid cycle; FW is recorded
-    after each cycle. A non-finite FW or centroid (squared distances that
-    overflow float64) raises EngineError, and so do n identical points,
-    which admit no partition (FI = 0), and a final u^m row that
-    underflows to 0 (a huge m), which leaves that point out of FW.
+    after each cycle. EngineError is raised by a non-finite FW, centroid,
+    FB or FI (overflow), a split that breaks _inertia_fault's rule
+    (underflow), n identical points, which admit no partition, and a final
+    u^m row that underflows to 0 (a huge m), which leaves a point out of FW.
 
     `seeds` is a SeedSet or anything with a `.centroids` (K, p) array;
     a bare array works too.
@@ -333,11 +341,7 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
         centroids = _centroids(points_t, um, mass)
         d2 = sq_dists(centroids, points_t.T)
         fw = _fw(um, d2)
-        if not (np.isfinite(fw) and np.isfinite(centroids).all()):
-            raise EngineError(
-                f"non-finite FW or centroids in iteration {len(trace) + 1}: "
-                "squared distances overflow float64 (rescale the data)"
-            )
+        _finite("FW or centroids", fw, centroids)
         trace.append(fw)
         if prev_fw is not None and (
             prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon
@@ -352,14 +356,19 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
             f"u**m underflows to 0 for {np.count_nonzero(row_mass == 0.0)} of {n} points "
             f"at m={m:g} (lower the fuzziness m)"
         )
+    fb, fi = _fb(points_t, centroids, mass), _fi(points_t, row_mass)
+    _finite("FB or FI", fb, fi)
+    if fault := _inertia_fault(trace[-1], fb, fi):
+        raise EngineError(f"FI = FW + FB fails, as when squared distances underflow "
+                          f"float64 (rescale the data): {fault}")
     return FcmResult(
         centroids=centroids + xbar,
         membership=u.T.copy(),
         iterations=len(trace),
         objective_trace=trace,
         fw=trace[-1],
-        fb=_fb(points_t, centroids, mass),
-        fi=_fi(points_t, row_mass),
+        fb=fb,
+        fi=fi,
         method=method,
         dataset=d.name,
         m=m,

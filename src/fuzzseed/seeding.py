@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import SCHEMA, Dataset
 from .engine import (_BLOCK_CELLS, EngineError, FcmConfig, FcmResult, _cluster_major,
-                     _sq_dists_t, quiet_overflow, run_fcm)
+                     _finite, _sq_dists_t, quiet_overflow, run_fcm)
 from .rng import RNG_NAME, derive_seed, fresh_seed, make_rng
 
 # Default comparison set; the quadratic maxmin oracle is excluded.
@@ -153,11 +153,7 @@ def seed_kmeanspp(d: Dataset, k: int, seed: int | None = None) -> SeedSet:
     def draw(dmin, chosen):
         nonlocal fallback
         total = dmin.sum()
-        if not np.isfinite(total):
-            raise EngineError(
-                "non-finite kmeanspp weights: squared distances overflow float64 "
-                "(rescale the data)"
-            )
+        _finite("kmeanspp weights", total)
         if total > 0.0:
             return int(rng.choice(n, p=dmin / total))
         fallback = True
@@ -319,17 +315,12 @@ def seed_repeated(
     return seeds, result
 
 
-def make_seeds(d: Dataset, k: int, method: str, seed: int | None = None,
-               cfg: FcmConfig | None = None) -> SeedSet:
-    """Produce a SeedSet for any strategy id.
-
-    The relaunch strategies must run FCM internally to pick their winner,
-    so they accept a config (defaulted) even though only seeds are
-    returned.
-    """
+def make_seeds(d: Dataset, k: int, method: str, seed: int | None = None) -> SeedSet:
+    """Produce a SeedSet for any strategy id; a relaunch strategy picks its
+    winner by FCM runs at the default FcmConfig."""
     seeder = _seeder(method)
     if isinstance(seeder, str):
-        return seed_repeated(seeder, d, k, seed=seed, cfg=cfg, label=method)[0]
+        return seed_repeated(seeder, d, k, seed=seed, label=method)[0]
     return seeder(d, k, seed=seed) if method in STOCHASTIC else seeder(d, k)
 
 

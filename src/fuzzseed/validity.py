@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .engine import EngineError, FcmResult, quiet_overflow, sq_dists
+from .engine import FcmResult, _finite, quiet_overflow, sq_dists
 
 INDEX_DIRECTIONS = {
     "pc": "maximize",
@@ -93,10 +93,7 @@ def v_fch(fb: float, fw: float, n: int, k: int) -> float:
         raise ValueError("index needs at least 2 clusters")
     if n <= k:
         raise ValueError(f"need n > k, got n={n}, k={k}")
-    ratio = v_fratio(fb, fw)
-    if np.isinf(ratio):
-        return ratio
-    return (n - k) / (k - 1) * ratio
+    return (n - k) / (k - 1) * v_fratio(fb, fw)
 
 
 def v_fs(fw: float, fb: float) -> float:
@@ -109,17 +106,12 @@ def v_xb(fw: float, n: int, centroids: np.ndarray) -> float:
     """Xie-Beni index: FW / (n * min pairwise squared centroid distance);
     minimize. FW is the FCM objective of the partition, so the fit's own
     value serves. Coincident centroids give +inf; a squared centroid
-    distance that is not finite (one that overflows float64) raises
-    EngineError."""
+    distance that overflows float64 raises EngineError."""
     centroids = np.asarray(centroids, dtype=float)
     if centroids.shape[0] < 2:
         raise ValueError("index needs at least 2 centroids")
     cd2 = sq_dists(centroids, centroids)
-    if not np.isfinite(cd2).all():
-        raise EngineError(
-            "non-finite squared distances between centroids: they overflow float64 "
-            "(rescale the data)"
-        )
+    _finite("distances between centroids", cd2)
     np.fill_diagonal(cd2, np.inf)
     sep = float(cd2.min())
     if sep == 0.0:

@@ -10,6 +10,7 @@ from fuzzseed import (
     BenchJob,
     CRITERIA,
     ComparisonReport,
+    DataError,
     FcmConfig,
     GaussianSpec,
     gen_gaussian_clusters,
@@ -324,3 +325,36 @@ def test_run_comparison_input_validation(two_pairs):
         run_comparison([(two_pairs, 2)], methods=[])
     with pytest.raises(ValueError, match="unique"):
         run_comparison([(two_pairs, 2), (two_pairs, 2)], methods=["maxmin_linear"])
+
+
+def test_nan_criterion_value_makes_every_rank_nan():
+    ranked = rank_methods(toy_report({"a": float("nan"), "b": 1.0, "c": 2.0}))
+    for vector in ranked.ranks["d0"].values():
+        assert all(math.isnan(r) for r in vector.values())
+
+
+def test_write_report_json_only(tmp_path):
+    report = rank_methods(run_comparison([(small_synthetic(8), 3)], methods=["maxmin_linear"],
+                                         master_seed=11))
+    assert write_report(report, tmp_path, formats=["json"]) == [tmp_path / "report.json"]
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["report.json"]
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read manifest"),
+    ("[{", "cannot read manifest"),
+    ('{"name": "a", "expected_k": 2}', "must be a JSON list"),
+])
+def test_load_manifest_unreadable_or_not_a_list_is_data_error(tmp_path, text, message):
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        load_manifest(path)
+
+
+def test_load_manifest_entry_without_source_is_errored_job(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps([{"name": "bare", "expected_k": 2}]))
+    [job] = load_manifest(tmp_path / "manifest.json")
+    assert job.dataset is None
+    assert job.error == "manifest entry 'bare' has neither path nor generator"

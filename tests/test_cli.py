@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzseed import write_csv
 from fuzzseed.cli import main
 from fuzzseed.engine import sq_dists
 from fuzzseed.seeding import STRATEGIES
+from fuzzseed.synth import dataset_from_spec
 
 from .conftest import make_ruspini_like
 
@@ -290,7 +291,8 @@ def test_validate_mismatched_data(capsys, tmp_path, ruspini_csv, line5):
                                  {"fw": float("nan")}, {"centroids": [[float("nan"), 1.0], [0.0, 1.0]]},
                                  {"n": None}, {"n": "abc"}, {"n": 75.5}, {"n": True},
                                  {"fi": -1}, {"fb": -5}, {"fb": float("inf")},
-                                 {"centroids": [[0.0, 1.0]]}, {"fw": -5.0}, {"fb": 0.0}])
+                                 {"centroids": [[0.0, 1.0]]}, {"fw": -5.0}, {"fb": 0.0},
+                                 {"fw": 0.0, "fb": 0.0, "fi": 0.0}])
 def test_validate_malformed_result_is_data_error(capsys, tmp_path, ruspini_csv, bad):
     out_json = tmp_path / "fit.json"
     run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
@@ -607,3 +609,126 @@ def test_bench_formats(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["report"] == str(tmp_path / "md" / "report.json")
     assert {Path(name).suffix for name in summary["files"]} == {".json", ".md"}
+
+
+def test_fit_echoes_drawn_seed(capsys, line5):
+    code, out, err = run_cli(capsys, "fit", "--data", str(line5), "--k", "2",
+                             "--method", "kmeanspp")
+    assert code == 0
+    seed = json.loads(out)["rng_seed"]
+    assert seed is not None and f"seed={seed}\n" in err
+
+
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not_json"])
+def test_generate_unreadable_spec_is_data_error(capsys, tmp_path, text):
+    spec = tmp_path / "spec.json"
+    if text is not None:
+        spec.write_text(text)
+    code, out, err = run_cli(capsys, "generate", "--spec", str(spec), "--out",
+                             str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fuzzseed: cannot read spec {spec}: ")
+
+
+def test_validate_membership_of_wrong_shape_is_data_error(capsys, tmp_path, fitted_ruspini):
+    data, result, membership = fitted_ruspini
+    narrow = tmp_path / "u.csv"
+    narrow.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                              for line in membership.read_text().splitlines()))
+    code, out, err = run_cli(capsys, "validate", "--result", str(result), "--data", str(data),
+                             "--label-column", "label", "--membership", str(narrow))
+    assert (code, out) == (2, "")
+    assert err == (f"fuzzseed: {narrow}: membership shape (75, 3) does not match "
+                   "(n=75, k=4)\n")
+
+
+# The 150x2 three-cluster data whose squared distances overflow float64 at
+# scales near 1e153 and underflow it near 1e-160.
+_THREE_CLUSTERS = {"kind": "gaussian_clusters", "k": 3, "size": 50, "sigma": 0.3, "dims": 2,
+                   "rng_seed": 7}
+
+
+@pytest.fixture(scope="module")
+def scaled_clusters(tmp_path_factory):
+    """A function of s that writes the three-cluster data times 1e{s} as a
+    CSV and returns its path."""
+    root = tmp_path_factory.mktemp("scaled")
+    points = dataset_from_spec(_THREE_CLUSTERS).points
+
+    def write(s: int) -> Path:
+        path = root / f"s{s}.csv"
+        rows = (points * float(f"1e{s}")).tolist()
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
+        return path
+
+    return write
+
+
+def test_fit_overflowing_inertia_is_engine_error(capsys, scaled_clusters):
+    # FW and the centroids stay finite at 1e153; FI = FW + FB does not
+    code, out, err = run_cli(capsys, "fit", "--data", str(scaled_clusters(153)), "--k", "3",
+                             "--method", "maxmin_linear")
+    assert (code, out) == (2, "")
+    assert "non-finite FB or FI" in err and "overflow float64" in err
+
+
+@pytest.mark.parametrize("s, expected", [(-150, 0), (-155, 0), (-160, 2), (-165, 2)])
+def test_fit_underflowing_inertia_split_is_engine_error(capsys, scaled_clusters, s, expected):
+    # at 1e-160 FI = FW + FB holds only to 7.6e-5, at 1e-165 FW = FB = FI = 0
+    code, out, err = run_cli(capsys, "fit", "--data", str(scaled_clusters(s)), "--k", "3",
+                             "--method", "maxmin_linear")
+    assert code == expected, err
+    if expected == 2:
+        assert out == ""
+        assert "FI = FW + FB fails" in err and "rescale the data" in err
+
+
+def test_bench_overflowing_inertia_is_errored_cell(capsys, tmp_path, scaled_clusters):
+    # two tight clusters at +-1e153: FB and FI both overflow, so TSFD would be NaN
+    rng = np.random.default_rng(0)
+    tight = np.vstack([rng.normal(size=(200, 2)) * 1e150 + 1e153,
+                       rng.normal(size=(200, 2)) * 1e150 - 1e153])
+    (tmp_path / "tight.csv").write_text("".join(f"{x!r},{y!r}\n" for x, y in tight.tolist()))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([
+        {"name": "scaled", "expected_k": 3, "path": str(scaled_clusters(153))},
+        {"name": "tight", "expected_k": 2, "path": "tight.csv"},
+    ]))
+    code, out, _ = run_cli(capsys, "bench", "--manifest", str(path), "--out",
+                           str(tmp_path / "rep"), "--seed", "3",
+                           "--methods", "maxmin_linear,kmeanspp")
+    assert code == 0 and json.loads(out)["warnings"] == 4
+    report = json.loads((tmp_path / "rep" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    for cells in report["cells"].values():
+        for cell in cells.values():
+            assert cell["values"] is None and "non-finite" in cell["error"]
+
+
+def _quiet_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.integers(-170, 170), method=st.sampled_from(("maxmin_linear", "kmeanspp")))
+@example(s=-165, method="maxmin_linear")
+@example(s=-160, method="maxmin_linear")
+@example(s=153, method="maxmin_linear")
+def test_fit_then_validate_at_any_scale(scaled_clusters, s, method):
+    # a fit either fails (exit 2, nothing on stdout) or writes strict JSON
+    # that its own validate accepts
+    data = scaled_clusters(s)
+    code, out, err = _quiet_main("fit", "--data", str(data), "--k", "3", "--method", method,
+                                 "--seed", "1")
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == ""
+        return
+    json.loads(out, parse_constant=_reject_constant)
+    result = data.with_name(f"{data.stem}_{method}.json")
+    result.write_text(out)
+    code, _, err = _quiet_main("validate", "--result", str(result), "--data", str(data))
+    assert code == 0, err

@@ -20,6 +20,7 @@ from fuzzseed import (
     v_xb,
 )
 from fuzzseed.engine import sq_dists
+from fuzzseed.validity import score_partition
 from .helpers import random_membership
 
 
@@ -239,3 +240,16 @@ def test_scores_serialize_inf_sentinel():
     assert payload["fratio"] == "inf"
     assert payload["xb"] == "inf"
     assert payload["flags"] == ["zero_fw"]
+
+
+def test_fch_zero_fw_is_inf():
+    assert v_fch(3.0, 0.0, 10, 3) == float("inf")
+
+
+def test_score_partition_flags_zero_fw():
+    # points 0, 0 and 3 on their centroids: FW = 0, FB = FI = 2 * 1 + 1 * 4
+    u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    scores = score_partition(3, np.array([[0.0], [3.0]]), u, 0.0, 6.0, 6.0)
+    assert scores.flags == ("zero_fw",)
+    assert scores.fratio == scores.fch == float("inf")
+    assert scores.xb == 0.0 and scores.tsfd == 1.0
