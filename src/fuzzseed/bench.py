@@ -322,8 +322,7 @@ def write_report(report: ComparisonReport, out_dir, formats=FORMATS) -> list[Pat
     given formats (see resolve_formats)."""
     formats = resolve_formats(formats)
     out_dir = Path(out_dir)
-    tables = out_dir / "tables"
-    tables.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     if "json" in formats:
@@ -350,6 +349,8 @@ def write_report(report: ComparisonReport, out_dir, formats=FORMATS) -> list[Pat
         groups.append({"average_ranks": rows(lambda m, c: report.average_ranks[c][m])})
 
     header = ["method"] + report.criteria
+    tables = out_dir / "tables"
+    tables.mkdir(exist_ok=True)
     for group in groups:
         for fmt in table_formats:
             for stem, body in group.items():

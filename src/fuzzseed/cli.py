@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SCHEMA, STANDARDIZE_MODES, DataError, load_csv, standardize, write_csv
+from .data import (SCHEMA, STANDARDIZE_MODES, DataError, _write_rows, load_csv, standardize,
+                   write_csv)
 from .engine import EngineError, FcmConfig, _inertia_fault, update_membership
 from .rng import fresh_seed
 from .seeding import DEFAULT_BENCH_METHODS, STRATEGIES, fit_method, make_seeds
@@ -136,13 +137,12 @@ def cmd_fit(args) -> int:
         f"iterations={result.iterations} fw={result.fw!r} "
         f"fb={result.fb!r} fi={result.fi!r}"
     )
+    # the membership CSV first, so that a failed write prints no result
+    if args.membership_out:
+        _write_rows(args.membership_out, [f"u{j + 1}" for j in range(result.k)],
+                    result.membership.tolist(), "\n")
     _emit(payload, args.out)
     print(summary, file=sys.stdout if args.out else sys.stderr)
-    if args.membership_out:
-        with open(args.membership_out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(f"u{j + 1}" for j in range(result.k))
-            writer.writerows(result.membership.tolist())
     return 0
 
 

@@ -211,11 +211,20 @@ def write_csv(d: Dataset, path) -> None:
         header.append("label")
         for row, label in zip(rows, d.labels.tolist()):
             row.append(label)
+    _write_rows(path, header, rows, "\r\n")
+
+
+def _write_rows(path, header: list[str], rows: list[list], newline: str) -> None:
+    """Write a header and rows of Python floats or ints as CSV, one `%r`
+    per cell: the same bytes as the csv module's writer, which writes
+    numbers by repr, since no finite number or fixed header cell needs
+    quoting. Rows are streamed, never joined into one string, so the peak
+    memory is that of the rows."""
+    fmt = ",".join(["%r"] * len(header)) + newline
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(",".join(header) + newline)
+            fh.writelines(fmt % tuple(row) for row in rows)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 

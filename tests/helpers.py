@@ -288,3 +288,21 @@ def reference_load_csv(path, label_column=None, delimiter=","):
         labels=np.array(labels, dtype=int) if label_idx is not None else None,
         name=os.path.splitext(os.path.basename(str(path)))[0],
     )
+
+
+def reference_write_csv(d, path, lineterminator="\r\n"):
+    """data.write_csv through the csv module's writer, as it was before
+    the %-format row writer; `lineterminator` "\\n" gives the newline
+    style of `fit --membership-out`."""
+    import csv
+
+    header = [f"x{j + 1}" for j in range(d.p)]
+    rows = d.points.tolist()
+    if d.labels is not None:
+        header.append("label")
+        for row, label in zip(rows, d.labels.tolist()):
+            row.append(label)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)

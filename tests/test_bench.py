@@ -340,6 +340,14 @@ def test_write_report_json_only(tmp_path):
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["report.json"]
 
 
+def test_write_report_json_only_makes_no_tables_dir(tmp_path):
+    report = rank_methods(run_comparison([(small_synthetic(8), 3)], methods=["maxmin_linear"],
+                                         master_seed=11))
+    out = tmp_path / "new" / "out"
+    write_report(report, out, formats=["json"])
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "cannot read manifest"),
     ("[{", "cannot read manifest"),

@@ -231,6 +231,20 @@ def test_fit_writes_result_and_membership(capsys, tmp_path, ruspini_csv):
     assert len(u_lines) == 76 and u_lines[0] == "u1,u2,u3,u4"
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_fit_unwritable_membership_prints_no_result(capsys, tmp_path, ruspini_csv, to_file):
+    out_json = tmp_path / "fit.json"
+    out_u = tmp_path / "missing" / "u.csv"
+    dest = ("--out", str(out_json)) if to_file else ()
+    code, out, err = run_cli(
+        capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
+        "--k", "4", "--method", "maxmin_linear", *dest, "--membership-out", str(out_u),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fuzzseed: cannot write {out_u}: ")
+    assert not out_json.exists()
+
+
 def test_validate_round_trip(capsys, tmp_path, ruspini_csv):
     out_json = tmp_path / "fit.json"
     out_u = tmp_path / "u.csv"

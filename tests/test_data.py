@@ -1,14 +1,15 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzseed import DataError, Dataset, data, grand_mean, load_csv, standardize, write_csv
 
-from .helpers import reference_load_csv
+from .helpers import reference_load_csv, reference_write_csv
 
 
 def test_load_csv_basic(tmp_path):
@@ -320,3 +321,72 @@ def test_write_csv_without_labels(tmp_path):
     back = load_csv(path)
     assert back.labels is None
     assert np.array_equal(back.points, ds.points)
+
+
+# Floats whose repr is a special case: negative zero, the smallest
+# subnormal and normal, the powers of ten where repr switches to an
+# exponent (1e16 is '1e+16', 1e-5 is '1e-05'), and the extremes; labels
+# at the int64 bounds.
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5,
+               1.7976931348623157e308, -1.7976931348623157e308]
+EDGE_LABELS = [2**63 - 1, -(2**63 - 1)]
+
+
+@st.composite
+def float_tables(draw):
+    """(rows of finite floats, a label per row or None)."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cell = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(cell, min_size=p, max_size=p), min_size=n, max_size=n))
+    label = st.sampled_from(EDGE_LABELS) | st.integers(-(2**63 - 1), 2**63 - 1)
+    labels = draw(st.none() | st.lists(label, min_size=n, max_size=n))
+    return rows, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=float_tables(), newline=st.sampled_from(["\r\n", "\n"]))
+@example(table=([EDGE_FLOATS, EDGE_FLOATS[::-1]], EDGE_LABELS), newline="\r\n")
+@example(table=([EDGE_FLOATS], None), newline="\n")
+def test_write_rows_matches_the_csv_module(tmp_path_factory, table, newline):
+    rows, labels = table
+    d = Dataset(points=rows, labels=labels)
+    header = [f"x{j + 1}" for j in range(d.p)]
+    if labels is not None:
+        header.append("label")
+        rows = [row + [label] for row, label in zip(rows, labels)]
+    base = tmp_path_factory.getbasetemp()
+    data._write_rows(base / "rows.csv", header, rows, newline)
+    reference_write_csv(d, base / "reference.csv", lineterminator=newline)
+    got = (base / "rows.csv").read_bytes()
+    assert got == (base / "reference.csv").read_bytes()
+    if newline == "\r\n":
+        write_csv(d, base / "write_csv.csv")
+        assert (base / "write_csv.csv").read_bytes() == got
+    # load_csv reads labels through float64, so one beyond 2**53 is read as
+    # a feature and checked against the file's text instead
+    exact = labels is not None and all(abs(label) <= 2**53 for label in labels)
+    back = load_csv(base / "rows.csv", label_column="label" if exact else None)
+    assert back.points[:, :d.p].tobytes() == d.points.tobytes()  # every bit, -0.0 included
+    if exact:
+        assert back.labels.tolist() == labels
+    elif labels is not None:
+        cells = [line.rsplit(",", 1)[1] for line in got.decode().splitlines()[1:]]
+        assert [int(cell) for cell in cells] == labels
+
+
+def test_write_csv_peak_memory_is_the_csv_modules(tmp_path):
+    # the rows are streamed: a writer that joins the whole file into one
+    # string peaks at about 2.3 times the csv module's writer
+    rng = np.random.default_rng(5)
+    d = Dataset(points=rng.normal(size=(20000, 8)), labels=rng.integers(0, 4, size=20000))
+    peaks = []
+    for write in (write_csv, reference_write_csv):
+        tracemalloc.start()
+        try:
+            write(d, tmp_path / f"{write.__name__}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.05 * peaks[1]
+    assert (tmp_path / "write_csv.csv").read_bytes() == (
+        tmp_path / "reference_write_csv.csv").read_bytes()

@@ -26,6 +26,11 @@ DEMO_REPORT_SHA256 = "9086661924647ba6d6546fc02bda5217efb26cecba4360740b5636155a
 # sha256 of the fits of test_wide_fits_are_pinned: seed and result JSON, membership bytes
 WIDE_FITS_SHA256 = "65478a8df45798b82e2edb76f1bede9eefa1a33f0f9a2c16bd4ae918abea8b15"
 
+# sha256 of the CSVs of test_csv_outputs_are_pinned: `generate` (CRLF) and
+# `fit --membership-out` (LF), as the csv module's writer wrote them
+GENERATE_CSV_SHA256 = "ea8522b7ceef7e0ddfb24ea65a1a2dbf20b74fc7aabecfeb0ee3d642919e655c"
+MEMBERSHIP_CSV_SHA256 = "ec7b1871a7b14250463cb9d3914639f3e4ab875e2a143dd6e919319af839dba9"
+
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_demo_report_is_pinned(tmp_path, capsys, jobs):
@@ -50,6 +55,20 @@ def test_wide_fits_are_pinned():
             digest.update(json.dumps([seeds.to_dict(), result.to_dict()]).encode())
             digest.update(result.membership.tobytes())
     assert digest.hexdigest() == WIDE_FITS_SHA256
+
+
+def test_csv_outputs_are_pinned(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "gaussian_clusters", "k": 4, "size": 100,
+                                "sigma": 0.5, "dims": 8, "rng_seed": 2024, "name": "golden"}))
+    data, membership = tmp_path / "golden.csv", tmp_path / "u.csv"
+    assert cli_main(["generate", "--spec", str(spec), "--out", str(data)]) == 0
+    assert cli_main(["fit", "--data", str(data), "--label-column", "label", "--k", "4",
+                     "--method", "maxmin_linear", "--out", str(tmp_path / "fit.json"),
+                     "--membership-out", str(membership)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == GENERATE_CSV_SHA256
+    assert hashlib.sha256(membership.read_bytes()).hexdigest() == MEMBERSHIP_CSV_SHA256
 
 
 def parity_corpus():
