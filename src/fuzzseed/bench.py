@@ -319,20 +319,13 @@ def _table(rows: list[list[str]], header: list[str], fmt: str) -> str:
 def write_report(report: ComparisonReport, out_dir, formats=FORMATS) -> list[Path]:
     """Write report.json plus per-dataset value/rank tables and the
     average-rank table (methods as rows, criteria as columns), in the
-    given formats (see resolve_formats)."""
+    given formats (see resolve_formats). A file or directory that cannot
+    be written is a DataError."""
     formats = resolve_formats(formats)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
+    files = []  # (path, text) in writing order
     if "json" in formats:
-        target = out_dir / "report.json"
-        target.write_text(report.to_json())
-        written.append(target)
-
-    table_formats = [f for f in formats if f != "json"]
-    if not table_formats:
-        return written
+        files.append((out_dir / "report.json", report.to_json()))
 
     def rows(lookup) -> list[list[str]]:
         return [[m] + [_fmt(lookup(m, c)) for c in report.criteria] for m in report.methods]
@@ -349,12 +342,17 @@ def write_report(report: ComparisonReport, out_dir, formats=FORMATS) -> list[Pat
         groups.append({"average_ranks": rows(lambda m, c: report.average_ranks[c][m])})
 
     header = ["method"] + report.criteria
-    tables = out_dir / "tables"
-    tables.mkdir(exist_ok=True)
     for group in groups:
-        for fmt in table_formats:
+        for fmt in (f for f in formats if f != "json"):
             for stem, body in group.items():
-                target = tables / f"{stem}.{fmt}"
-                target.write_text(_table(body, header, fmt))
-                written.append(target)
-    return written
+                files.append((out_dir / "tables" / f"{stem}.{fmt}", _table(body, header, fmt)))
+
+    target = out_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for target, text in files:
+            target.parent.mkdir(exist_ok=True)  # tables/ only when a table is written
+            target.write_text(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {target}: {exc}") from exc
+    return [target for target, _ in files]

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SCHEMA, STANDARDIZE_MODES, DataError, _write_rows, load_csv, standardize,
-                   write_csv)
+from .data import (SCHEMA, STANDARDIZE_MODES, DataError, _table_rows, _write_rows, load_csv,
+                   standardize, write_csv)
 from .engine import EngineError, FcmConfig, _inertia_fault, update_membership
 from .rng import fresh_seed
 from .seeding import DEFAULT_BENCH_METHODS, STRATEGIES, fit_method, make_seeds
@@ -51,7 +51,10 @@ def _load_dataset(args):
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -137,11 +140,17 @@ def cmd_fit(args) -> int:
         f"iterations={result.iterations} fw={result.fw!r} "
         f"fb={result.fb!r} fi={result.fi!r}"
     )
-    # the membership CSV first, so that a failed write prints no result
+    # the membership CSV first, so that a failed write prints no result,
+    # and removed again when the result cannot be written
     if args.membership_out:
         _write_rows(args.membership_out, [f"u{j + 1}" for j in range(result.k)],
-                    result.membership.tolist(), "\n")
-    _emit(payload, args.out)
+                    _table_rows(result.membership), "\n")
+    try:
+        _emit(payload, args.out)
+    except DataError:
+        if args.membership_out:
+            Path(args.membership_out).unlink(missing_ok=True)
+        raise
     print(summary, file=sys.stdout if args.out else sys.stderr)
     return 0
 

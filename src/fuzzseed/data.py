@@ -6,6 +6,7 @@ separate point class.
 """
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,6 +109,11 @@ def _first_bad_label(values: np.ndarray) -> tuple[int, str] | None:
     return row, "non-integer" if in_range or value != value else "out-of-range"
 
 
+# Rows read, converted and written per step: a CSV's memory grows with
+# this chunk, not with the file.
+_CHUNK_ROWS = 1024
+
+
 def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dataset:
     """Load a numeric CSV into a Dataset.
 
@@ -116,27 +122,40 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
     integer class ids of magnitude below 2**63; it is excluded from the
     feature matrix. Decimal point only; missing values are rejected.
 
-    The data rows are stripped and converted in one call when every row
-    has the header row's width, and the label column is checked whole. If
-    that fails, the rows are walked in file order (width first, then each
-    cell left to right) to name the first defect: DataError gives the
-    1-based file line / column of a ragged row, non-numeric cell or bad
-    label. An unreadable file is a DataError too.
+    The data rows are read _CHUNK_ROWS at a time, stripped and converted
+    in one call per chunk when every row of the chunk has the header
+    row's width, and the chunk's label column is checked whole. If that
+    fails, the chunk's rows are walked in file order (width first, then
+    each cell left to right) to name the first defect: DataError gives
+    the 1-based file line / column of a ragged row, non-numeric cell or
+    bad label. A file that cannot be opened, decoded or parsed as CSV is
+    a DataError too; a delimiter that is not one character is a
+    ValueError.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=delimiter))
-    except OSError as exc:
+            rows = ((i + 1, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter))
+                    if row)  # skip blank lines
+            points, labels = _read_table(path, rows, label_column)
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    numbered = [(i + 1, row) for i, row in enumerate(rows) if row]  # skip blank lines
-    if not numbered:
-        raise DataError(f"{path}: file contains no data")
+    name = os.path.splitext(os.path.basename(str(path)))[0]
+    return Dataset(points=points, labels=labels, name=name)
 
-    first = numbered[0][1]
-    has_header = _floats(first) is None
-    header = [cell.strip() for cell in first] if has_header else None
-    data_rows = numbered[1:] if has_header else numbered
-    if not data_rows:
+
+def _read_table(path, rows, label_column) -> tuple[np.ndarray, np.ndarray | None]:
+    """(points, labels) from an iterator of non-blank (line, cells) rows."""
+    first = next(rows, None)
+    if first is None:
+        raise DataError(f"{path}: file contains no data")
+    has_header = _floats(first[1]) is None
+    header = [cell.strip() for cell in first[1]] if has_header else None
+    data_rows = rows if has_header else itertools.chain([first], rows)
+    chunks = iter(lambda: list(itertools.islice(data_rows, _CHUNK_ROWS)), [])
+    head = next(chunks, None)
+    if head is None:
         raise DataError(f"{path}: no data rows after header")
 
     label_idx = None
@@ -145,30 +164,33 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
             raise DataError(f"{path}: label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
 
-    width = len(first)
-    points = None
-    if all(len(row) == width for _, row in data_rows):
+    width = len(first[1])
+    points = np.concatenate([_convert_chunk(path, chunk, width, label_idx)
+                             for chunk in itertools.chain([head], chunks)])
+    if label_idx is None:
+        return points, None
+    return np.delete(points, label_idx, axis=1), points[:, label_idx].astype(int)
+
+
+def _convert_chunk(path, chunk, width, label_idx) -> np.ndarray:
+    """A chunk of (line, cells) rows as a (len(chunk), width) float array,
+    or the DataError of its first defect."""
+    values = None
+    if all(len(row) == width for _, row in chunk):
         # strip also drops \x1c-\x1f; float() does not
-        values = _floats([cell.strip() for _, row in data_rows for cell in row])
-        points = None if values is None else values.reshape(len(data_rows), width)
-    if points is None or (
-        label_idx is not None and _first_bad_label(points[:, label_idx]) is not None
-    ):
-        _raise_first_defect(path, data_rows, width, label_idx)
-
-    labels = None
-    if label_idx is not None:
-        labels = points[:, label_idx].astype(int)
-        points = np.delete(points, label_idx, axis=1)
-    name = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(points=points, labels=labels, name=name)
+        values = _floats([cell.strip() for _, row in chunk for cell in row])
+    if values is not None:
+        values = values.reshape(len(chunk), width)
+        if label_idx is None or _first_bad_label(values[:, label_idx]) is None:
+            return values
+    _raise_first_defect(path, chunk, width, label_idx)
 
 
-def _raise_first_defect(path, data_rows, width, label_idx) -> NoReturn:
-    """Raise the DataError for the first defect of a table that failed to
+def _raise_first_defect(path, chunk, width, label_idx) -> NoReturn:
+    """Raise the DataError for the first defect of a chunk that failed to
     convert: rows in file order, each checked for width, then as a whole,
     and a failing row walked cell by cell, left to right."""
-    for line, row in data_rows:
+    for line, row in chunk:
         if len(row) != width:
             raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
         cells = [cell.strip() for cell in row]
@@ -184,7 +206,7 @@ def _raise_first_defect(path, data_rows, width, label_idx) -> NoReturn:
             bad = _first_bad_label(value) if col - 1 == label_idx else None
             if bad is not None:
                 raise DataError(f"{path}: {bad[1]} label {cell!r} at line {line}")
-    raise AssertionError(f"{path}: the table failed to convert, but no row has a defect")
+    raise AssertionError(f"{path}: a chunk failed to convert, but no row has a defect")
 
 
 def load_csv_source(source: dict, base_dir) -> Dataset:
@@ -206,20 +228,30 @@ def write_csv(d: Dataset, path) -> None:
     load_csv(write_csv(d)) reproduces the exact values.
     """
     header = [f"x{j + 1}" for j in range(d.p)]
-    rows = d.points.tolist()
     if d.labels is not None:
         header.append("label")
-        for row, label in zip(rows, d.labels.tolist()):
-            row.append(label)
-    _write_rows(path, header, rows, "\r\n")
+    _write_rows(path, header, _table_rows(d.points, d.labels), "\r\n")
 
 
-def _write_rows(path, header: list[str], rows: list[list], newline: str) -> None:
-    """Write a header and rows of Python floats or ints as CSV, one `%r`
-    per cell: the same bytes as the csv module's writer, which writes
-    numbers by repr, since no finite number or fixed header cell needs
-    quoting. Rows are streamed, never joined into one string, so the peak
-    memory is that of the rows."""
+def _table_rows(points: np.ndarray, labels: np.ndarray | None = None):
+    """The rows of `points` as lists of Python floats, each with its label
+    appended when there are labels, converted _CHUNK_ROWS rows at a time."""
+    for start in range(0, len(points), _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        if labels is None:
+            yield from points[chunk].tolist()
+        else:
+            for row, label in zip(points[chunk].tolist(), labels[chunk].tolist()):
+                row.append(label)
+                yield row
+
+
+def _write_rows(path, header: list[str], rows, newline: str) -> None:
+    """Write a header and an iterable of rows of Python floats or ints as
+    CSV, one `%r` per cell: the same bytes as the csv module's writer,
+    which writes numbers by repr, since no finite number or fixed header
+    cell needs quoting. Rows are streamed, never joined into one string,
+    so the peak memory is that of the rows held at once."""
     fmt = ",".join(["%r"] * len(header)) + newline
     try:
         with open(path, "w", newline="") as fh:

@@ -235,10 +235,6 @@ def _centroids(points_t: np.ndarray, um: np.ndarray, mass: np.ndarray) -> np.nda
     return (um @ points_t.T) / mass[:, None]
 
 
-def _fw(um: np.ndarray, d2: np.ndarray) -> float:
-    return float((um * d2).sum())
-
-
 def _fb(points_t: np.ndarray, centroids: np.ndarray, mass: np.ndarray) -> float:
     xbar = points_t.mean(axis=1)[:, None]
     return float((mass * _sq_dists_t(centroids.T, xbar)[:, 0]).sum())
@@ -276,7 +272,9 @@ def update_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
 
 def fuzzy_within(points, centroids, u, m: float) -> float:
     """FW: membership-weighted sum of squared point-to-centroid distances."""
-    return _fw(_cluster_major(u) ** m, sq_dists(centroids, points))
+    um = _cluster_major(u) ** m
+    um *= sq_dists(centroids, points)
+    return float(um.sum())
 
 
 def fuzzy_between(points, centroids, u, m: float) -> float:
@@ -340,7 +338,8 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
         mass = um.sum(axis=1)
         centroids = _centroids(points_t, um, mass)
         d2 = sq_dists(centroids, points_t.T)
-        fw = _fw(um, d2)
+        um *= d2  # the products u^m d2, summed into FW in place of a fourth (k, n) array
+        fw = float(um.sum())
         _finite("FW or centroids", fw, centroids)
         trace.append(fw)
         if prev_fw is not None and (
@@ -349,8 +348,10 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
             break
         prev_fw = fw
 
-    # Some u_ik >= 1/k in every row, so only underflow zeroes a u^m row
-    row_mass = um.sum(axis=0)
+    # Some u_ik >= 1/k in every row, so only underflow zeroes a u^m row.
+    # u^m is taken again, to the same bits, once the loop's arrays are gone.
+    del d2, um
+    row_mass = (u**m).sum(axis=0)
     if not row_mass.all():
         raise EngineError(
             f"u**m underflows to 0 for {np.count_nonzero(row_mass == 0.0)} of {n} points "

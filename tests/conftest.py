@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,16 @@ from fuzzseed import Dataset
 def two_pairs():
     """Two well-separated vertical pairs; unique two-cluster optimum."""
     return Dataset(points=[[0, 0], [0, 1], [10, 0], [10, 1]], name="two_pairs")
+
+
+def traced_peak(call, *args, **kwargs):
+    """(call's result, the peak bytes tracemalloc saw allocated during it)."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_ruspini_like():

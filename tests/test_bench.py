@@ -305,6 +305,29 @@ def test_load_manifest_non_string_path_is_errored_job(tmp_path):
     assert all("path must be a string" in j.error and j.dataset is None for j in jobs)
 
 
+def test_load_manifest_unreadable_csv_is_errored_job(tmp_path):
+    (tmp_path / "ok.csv").write_text("a,b\n1,2\n3,4\n")
+    (tmp_path / "long.csv").write_text("a,b\n1," + "1" * 200000 + "\n")
+    (tmp_path / "bytes.csv").write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+    manifest = [
+        {"name": "two_chars", "expected_k": 2, "path": "ok.csv", "delimiter": "ab"},
+        {"name": "int_delimiter", "expected_k": 2, "path": "ok.csv", "delimiter": 5},
+        {"name": "long_field", "expected_k": 2, "path": "long.csv"},
+        {"name": "undecodable", "expected_k": 2, "path": "bytes.csv"},
+        {"name": "ok", "expected_k": 2, "path": "ok.csv"},
+    ]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    jobs = load_manifest(tmp_path / "manifest.json")
+    assert [j.error for j in jobs] == [
+        "delimiter must be one character, got 'ab'",
+        "delimiter must be one character, got 5",
+        f"cannot read {tmp_path / 'long.csv'}: field larger than field limit (131072)",
+        f"cannot read {tmp_path / 'bytes.csv'}: " + jobs[3].error.split(": ", 1)[1],
+        None,
+    ]
+    assert "can't decode" in jobs[3].error
+
+
 def test_full_grid_cell_count():
     # the full protocol scale: 22 datasets x 5 methods -> 110 cells
     jobs = [

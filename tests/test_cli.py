@@ -1,16 +1,19 @@
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fuzzseed import write_csv
+from fuzzseed import FcmResult, cli, write_csv
 from fuzzseed.cli import main
+from fuzzseed.data import _CHUNK_ROWS
 from fuzzseed.engine import sq_dists
 from fuzzseed.seeding import STRATEGIES
 from fuzzseed.synth import dataset_from_spec
@@ -231,18 +234,62 @@ def test_fit_writes_result_and_membership(capsys, tmp_path, ruspini_csv):
     assert len(u_lines) == 76 and u_lines[0] == "u1,u2,u3,u4"
 
 
-@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-def test_fit_unwritable_membership_prints_no_result(capsys, tmp_path, ruspini_csv, to_file):
-    out_json = tmp_path / "fit.json"
-    out_u = tmp_path / "missing" / "u.csv"
-    dest = ("--out", str(out_json)) if to_file else ()
+@pytest.mark.parametrize("case", ["out", "stdout", "unwritable_out"])
+def test_fit_unwritable_membership_prints_no_result(capsys, tmp_path, ruspini_csv, case):
+    # either output path unwritable: exit 2 with nothing on stdout and no
+    # output file left behind
+    out_json = tmp_path / ("missing" if case == "unwritable_out" else "") / "fit.json"
+    out_u = tmp_path / ("" if case == "unwritable_out" else "missing") / "u.csv"
+    dest = () if case == "stdout" else ("--out", str(out_json))
     code, out, err = run_cli(
         capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
         "--k", "4", "--method", "maxmin_linear", *dest, "--membership-out", str(out_u),
     )
     assert (code, out) == (2, "")
-    assert err.startswith(f"fuzzseed: cannot write {out_u}: ")
-    assert not out_json.exists()
+    unwritable = out_json if case == "unwritable_out" else out_u
+    assert err.startswith(f"fuzzseed: cannot write {unwritable}: ")
+    assert not out_json.exists() and not out_u.exists()
+
+
+def test_fit_membership_out_peak_memory_does_not_grow_with_n(tmp_path, monkeypatch, line5):
+    # traced from the end of the fit on, so the peak is the writing of an
+    # (n, 4) membership CSV, which converts one chunk of rows at a time
+    rng = np.random.default_rng(5)
+    peaks = {}
+    for n in (_CHUNK_ROWS, 20000, 80000):
+        result = FcmResult(centroids=np.zeros((4, 1)), membership=rng.dirichlet(np.ones(4), n),
+                           iterations=1, objective_trace=[2.0], fw=2.0, fb=1.0, fi=3.0)
+
+        def fit_method(*args, **kwargs):
+            tracemalloc.start()
+            return SimpleNamespace(rng_seed=None), result
+
+        monkeypatch.setattr(cli, "fit_method", fit_method)
+        try:
+            code = main(["fit", "--data", str(line5), "--k", "4", "--method", "maxmin_linear",
+                         "--out", str(tmp_path / "fit.json"),
+                         "--membership-out", str(tmp_path / "u.csv")])
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "u.csv").read_text().count("\n") == n + 1
+    assert abs(peaks[80000] - peaks[20000]) <= peaks[_CHUNK_ROWS]
+
+
+def test_unreadable_csv_exits_2_and_bad_delimiter_exits_1(capsys, tmp_path, line5):
+    seed = ("seed", "--k", "2", "--method", "maxmin_linear", "--data")
+    long_field = tmp_path / "long.csv"
+    long_field.write_text("a,b\n1," + "1" * 200000 + "\n")
+    undecodable = tmp_path / "bytes.csv"
+    undecodable.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+    for path in (long_field, undecodable):
+        code, out, err = run_cli(capsys, *seed, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fuzzseed: cannot read {path}: ")
+    code, out, err = run_cli(capsys, *seed, str(line5), "--delimiter", "ab")
+    assert (code, out) == (1, "")
+    assert err == "fuzzseed: error: delimiter must be one character, got 'ab'\n"
 
 
 def test_validate_round_trip(capsys, tmp_path, ruspini_csv):
@@ -599,6 +646,15 @@ def test_bench_rejects_unknown_method(capsys, tmp_path):
         assert code == 1 and out == ""
         assert f"--jobs must be >= 1, got {jobs}" in err
     assert not (tmp_path / "rep").exists()
+
+
+def test_bench_unwritable_out_is_data_error(capsys, tmp_path):
+    manifest = write_bench_manifest(tmp_path)
+    out_dir = manifest / "report"  # under a file
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest), "--out", str(out_dir),
+                             "--seed", "2", "--methods", "maxmin_linear")
+    assert (code, out) == (2, "")
+    assert f"fuzzseed: cannot write {out_dir}: " in err
 
 
 def test_bench_formats(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fuzzseed import DataError, Dataset, data, grand_mean, load_csv, standardize, write_csv
 
+from .conftest import traced_peak
 from .helpers import reference_load_csv, reference_write_csv
 
 
@@ -175,16 +177,53 @@ def test_load_csv_converts_a_valid_table_in_one_call(tmp_path, monkeypatch):
 
 def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
     f = tmp_path / "order.csv"
+    chunk = data._CHUNK_ROWS
+    good = [f"{i},{i % 3}" for i in range(chunk)]
     for lines, message in (
         (["a,label", "1,2", "abc,3", "4,5", "6", "7,8"], "non-numeric cell 'abc' at line 3"),
         (["a,label", "1,2", "3", "4,5", "abc,6", "7,8"], "row at line 3 has 1 cells"),
         (["a,label"] + [f"{i},{i % 3}" for i in range(1999)] + ["0,0.5"],
          "non-integer label '0.5' at line 2001"),
+        # a ragged row in the first chunk, a bad cell in the second
+        (["a,label", "1,2", "3"] + good + ["abc,4"], "row at line 3 has 1 cells"),
+        # a bad cell in the first chunk, a ragged row in the second
+        (["a,label", "1,2", "abc,3"] + good + ["4"], "non-numeric cell 'abc' at line 3"),
+        # blank lines on both sides of the first chunk's last row
+        (["a,label"] + good[:-1] + ["", ""] + good[-1:] + ["", "", "5,0.5"],
+         f"non-integer label '0.5' at line {chunk + 6}"),
+        (["", "a,label"] + good[:-1] + ["", "7", "", "8,1"], f"row at line {chunk + 3} has 1 cells"),
     ):
         f.write_text("\n".join(lines) + "\n")
         outcome = _outcome(load_csv, f, "label")
         assert outcome == _outcome(reference_load_csv, f, "label")
         assert outcome[0] == "DataError" and message in outcome[1]
+
+
+def test_load_csv_unreadable_content_is_data_error(tmp_path):
+    f = tmp_path / "bad.csv"
+    f.write_text("a,b\n1," + "1" * 200000 + "\n")  # beyond the csv module's field limit
+    with pytest.raises(DataError, match=r"cannot read .*bad\.csv: field larger than field limit"):
+        load_csv(f)
+    f.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+    with pytest.raises(DataError, match=r"cannot read .*bad\.csv: .*can't decode"):
+        load_csv(f)
+    f.write_text("a;b\n1;2\n")
+    assert load_csv(f, delimiter=";").points.tolist() == [[1.0, 2.0]]
+    for delimiter in ("ab", "", 5, None):
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            load_csv(f, delimiter=delimiter)
+
+
+def test_load_csv_peak_memory_is_a_small_multiple_of_its_array(tmp_path):
+    # rows are read and converted one chunk at a time; a whole-file read
+    # held every row as Python strings, about 16 times the points array
+    rng = np.random.default_rng(5)
+    d = Dataset(points=rng.normal(size=(20000, 8)), labels=rng.integers(0, 4, size=20000))
+    write_csv(d, tmp_path / "big.csv")
+    back, peak = traced_peak(load_csv, tmp_path / "big.csv", label_column="label")
+    assert back.points.tobytes() == d.points.tobytes()
+    assert np.array_equal(back.labels, d.labels)
+    assert peak < 4 * d.points.nbytes
 
 
 def test_load_csv_accepts_the_spellings_float_accepts(tmp_path):
@@ -249,6 +288,19 @@ def test_load_csv_matches_cell_by_cell_reference(tmp_path_factory, text):
         assert _outcome(load_csv, path, label_column) == _outcome(
             reference_load_csv, path, label_column
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=csv_text(), chunk_rows=st.integers(1, 3))
+def test_load_csv_matches_the_reference_across_chunk_boundaries(tmp_path_factory, text,
+                                                               chunk_rows):
+    path = tmp_path_factory.getbasetemp() / "chunks.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+        for label_column in (None, "label"):
+            assert _outcome(load_csv, path, label_column) == _outcome(
+                reference_load_csv, path, label_column
+            )
 
 
 def test_dataset_validation():
@@ -390,3 +442,14 @@ def test_write_csv_peak_memory_is_the_csv_modules(tmp_path):
     assert peaks[0] <= 1.05 * peaks[1]
     assert (tmp_path / "write_csv.csv").read_bytes() == (
         tmp_path / "reference_write_csv.csv").read_bytes()
+
+
+def test_write_csv_peak_memory_does_not_grow_with_n(tmp_path):
+    # rows are converted one chunk at a time: a whole-table tolist() made
+    # the peak grow 4 times from 20000 to 80000 rows
+    rng = np.random.default_rng(5)
+    peaks = {}
+    for n in (data._CHUNK_ROWS, 20000, 80000):
+        d = Dataset(points=rng.normal(size=(n, 8)), labels=rng.integers(0, 4, size=n))
+        peaks[n] = traced_peak(write_csv, d, tmp_path / "d.csv")[1]
+    assert abs(peaks[80000] - peaks[20000]) <= peaks[data._CHUNK_ROWS]

@@ -19,6 +19,7 @@ from fuzzseed import (
 from fuzzseed import engine
 from fuzzseed.engine import sq_dists
 
+from .conftest import traced_peak
 from .helpers import (
     brute_force_membership,
     random_instance,
@@ -409,6 +410,22 @@ def test_run_fcm_one_distance_pass_per_cycle(monkeypatch):
         res = run_fcm(Dataset(points=points, name="r"), points[:4], cfg)
         assert len(calls) == res.iterations + 1
     assert res.iterations == 7
+
+
+@pytest.mark.parametrize("n, p, k", [(20000, 4, 8), (30000, 3, 16)])
+def test_run_fcm_scratch_memory_is_three_k_by_n_arrays(n, p, k):
+    # Beyond the data: the centred (p, n) copy; the distances, u and u^m
+    # (FW is summed from u^m times the distances in place); one block of
+    # the distance kernel's scratch; numpy's iteration buffers, bufsize
+    # cells for each of up to three operands; and 64 KiB for the
+    # centroids, cluster masses and per-block vectors.
+    assert len(engine._column_blocks(k, n)) > 1
+    rng = np.random.default_rng(7)
+    d = Dataset(points=rng.normal(size=(n, p)) + rng.integers(0, 5, size=(n, 1)))
+    result, peak = traced_peak(run_fcm, d, d.points[:: n // k][:k], FcmConfig(max_iterations=6))
+    assert result.iterations == 6
+    cells = p * n + 3 * k * n + engine._BLOCK_CELLS + 3 * np.getbufsize()
+    assert peak <= 8 * cells + 65536
 
 
 def test_run_fcm_non_finite_is_engine_error():
