@@ -191,6 +191,10 @@ def _run_cell(job: BenchJob, method: str, cfg: FcmConfig, master_seed: int) -> d
     return _cell(values, seeds.rng_seed, scores.flags, None)
 
 
+def _slug(name: str) -> str:  # the stem of a dataset's report tables
+    return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+
+
 def run_comparison(
     jobs,
     methods=DEFAULT_BENCH_METHODS,
@@ -215,9 +219,9 @@ def run_comparison(
         raise ValueError(f"unknown methods: {unknown}")
     if not methods:
         raise ValueError("methods list is empty")
-    names = [job.name for job in jobs]
-    if len(set(names)) != len(names):
-        raise ValueError("dataset names must be unique")
+    slugs = [_slug(job.name) for job in jobs]  # unique slugs imply unique names
+    if len(set(slugs)) != len(slugs):
+        raise ValueError(f"dataset names must be unique as table names, got {slugs}")
 
     grid = [(job, method) for job in jobs for method in methods]
     if n_jobs > 1:
@@ -333,7 +337,7 @@ def write_report(report: ComparisonReport, out_dir, formats=FORMATS) -> list[Pat
     # Each group is written once per table format, in this order.
     groups = []
     for ds in report.datasets:
-        slug = re.sub(r"[^A-Za-z0-9._-]+", "_", ds)
+        slug = _slug(ds)
         group = {f"{slug}_values": rows(lambda m, c: _value(report.cells[ds][m], c))}
         if report.ranks:
             group[f"{slug}_ranks"] = rows(lambda m, c: report.ranks[ds][c][m])

@@ -10,7 +10,6 @@ import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -119,18 +118,16 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
 
     The first row is treated as a header when any of its cells fails to
     parse as a finite number. `label_column` names a header column holding
-    integer class ids of magnitude below 2**63; it is excluded from the
-    feature matrix. Decimal point only; missing values are rejected.
+    integer class ids of magnitude below 2**63, read exactly as int64 (or,
+    for a cell int() rejects, as a float such as 4.0 or 1e3); it is
+    excluded from the feature matrix. Decimal point only; missing values
+    are rejected.
 
-    The data rows are read _CHUNK_ROWS at a time, stripped and converted
-    in one call per chunk when every row of the chunk has the header
-    row's width, and the chunk's label column is checked whole. If that
-    fails, the chunk's rows are walked in file order (width first, then
-    each cell left to right) to name the first defect: DataError gives
-    the 1-based file line / column of a ragged row, non-numeric cell or
-    bad label. A file that cannot be opened, decoded or parsed as CSV is
-    a DataError too; a delimiter that is not one character is a
-    ValueError.
+    The data rows are read and converted _CHUNK_ROWS at a time: DataError
+    gives the 1-based file line / column of the first ragged row,
+    non-numeric cell or bad label. A file that cannot be opened, decoded
+    or parsed as CSV is a DataError too; a delimiter that is not one
+    character is a ValueError.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
@@ -158,55 +155,66 @@ def _read_table(path, rows, label_column) -> tuple[np.ndarray, np.ndarray | None
     if head is None:
         raise DataError(f"{path}: no data rows after header")
 
-    label_idx = None
-    if label_column is not None:
-        if header is None or label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not found in header")
-        label_idx = header.index(label_column)
+    if label_column is not None and label_column not in (header or ()):
+        raise DataError(f"{path}: label column {label_column!r} not found in header")
+    label_idx = None if label_column is None else header.index(label_column)
 
-    width = len(first[1])
-    points = np.concatenate([_convert_chunk(path, chunk, width, label_idx)
-                             for chunk in itertools.chain([head], chunks)])
-    if label_idx is None:
-        return points, None
-    return np.delete(points, label_idx, axis=1), points[:, label_idx].astype(int)
+    points, labels = zip(*(_convert_chunk(path, chunk, len(first[1]), label_idx)
+                           for chunk in itertools.chain([head], chunks)))
+    return np.concatenate(points), None if label_idx is None else np.concatenate(labels)
 
 
-def _convert_chunk(path, chunk, width, label_idx) -> np.ndarray:
-    """A chunk of (line, cells) rows as a (len(chunk), width) float array,
-    or the DataError of its first defect."""
-    values = None
+def _convert_chunk(path, chunk, width, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
+    """A chunk of (line, cells) rows as (points, labels), labels None without a
+    label column, by one _floats and one _labels call when every row has the
+    header row's width. Otherwise, or if either fails, the rows are walked once
+    in file order (width, then each cell) to raise the first defect's DataError."""
     if all(len(row) == width for _, row in chunk):
         # strip also drops \x1c-\x1f; float() does not
-        values = _floats([cell.strip() for _, row in chunk for cell in row])
-    if values is not None:
-        values = values.reshape(len(chunk), width)
-        if label_idx is None or _first_bad_label(values[:, label_idx]) is None:
-            return values
-    _raise_first_defect(path, chunk, width, label_idx)
-
-
-def _raise_first_defect(path, chunk, width, label_idx) -> NoReturn:
-    """Raise the DataError for the first defect of a chunk that failed to
-    convert: rows in file order, each checked for width, then as a whole,
-    and a failing row walked cell by cell, left to right."""
+        cells = [cell.strip() for _, row in chunk for cell in row]
+        labels = None
+        if label_idx is not None:
+            labels = _labels(cells[label_idx::width])
+            del cells[label_idx::width]  # the feature cells remain
+        points = _floats(cells)
+        if points is not None and (label_idx is None or labels is not None):
+            return points.reshape(len(chunk), len(cells) // len(chunk)), labels
     for line, row in chunk:
         if len(row) != width:
             raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
-        cells = [cell.strip() for cell in row]
-        values = _floats(cells)
-        if values is not None and (
-            label_idx is None or _first_bad_label(values[[label_idx]]) is None
-        ):
-            continue
-        for col, cell in enumerate(cells, start=1):
-            value = _floats([cell])
+        for col, cell in enumerate(row, start=1):
+            cell = cell.strip()
+            value = _label(cell) if col - 1 == label_idx else _floats([cell])
             if value is None:
                 raise DataError(f"{path}: non-numeric cell {cell!r} at line {line}, column {col}")
-            bad = _first_bad_label(value) if col - 1 == label_idx else None
-            if bad is not None:
+            if col - 1 == label_idx and (bad := _first_bad_label(np.array([value], dtype=object))):
                 raise DataError(f"{path}: {bad[1]} label {cell!r} at line {line}")
     raise AssertionError(f"{path}: a chunk failed to convert, but no row has a defect")
+
+
+def _label(cell: str) -> int | float | None:
+    """A stripped label cell read exactly by int() or, if int() rejects it,
+    by _floats (4.0, 1e3); None if neither reads it."""
+    try:
+        return int(cell)
+    except ValueError:
+        value = _floats([cell])
+        return None if value is None else value.item()
+
+
+def _labels(cells: list[str]) -> np.ndarray | None:
+    """Stripped label cells as int64 ids, or None if any is not one. numpy
+    reads each as int() does; if one fails, _floats reads them all (exact
+    below 2**53) and _label reads again each one of larger magnitude."""
+    try:
+        values = np.array(cells, dtype=np.int64)
+    except (ValueError, OverflowError):
+        values = _floats(cells)  # a cell it rejects is no int64 id either
+        if values is None:
+            return None
+        values = np.array([v if abs(v) < 2**53 else _label(cell)
+                           for cell, v in zip(cells, values.tolist())], dtype=object)
+    return None if _first_bad_label(values) is not None else values.astype(np.int64, copy=False)
 
 
 def load_csv_source(source: dict, base_dir) -> Dataset:
@@ -278,17 +286,12 @@ def standardize(d: Dataset, mode: str = "none") -> Dataset:
     if mode == "none":
         return d
     if mode == "z-score":
-        mean = d.points.mean(axis=0)
-        sd = d.points.std(axis=0)  # population convention
-        flat = np.nonzero(sd == 0)[0]
-        if flat.size:
-            raise DataError(f"zero-variance feature {flat[0] + 1} under z-score")
-        scaled = (d.points - mean) / sd
+        shift, scale = d.points.mean(axis=0), d.points.std(axis=0)  # population sd
     else:
-        lo = d.points.min(axis=0)
-        hi = d.points.max(axis=0)
-        flat = np.nonzero(hi == lo)[0]
-        if flat.size:
-            raise DataError(f"constant feature {flat[0] + 1} under min-max")
-        scaled = (d.points - lo) / (hi - lo)
-    return Dataset(points=scaled, labels=d.labels, name=d.name)
+        shift = d.points.min(axis=0)
+        scale = d.points.max(axis=0) - shift
+    flat = np.nonzero(scale == 0)[0]
+    if flat.size:
+        problem = "zero-variance" if mode == "z-score" else "constant"
+        raise DataError(f"{problem} feature {flat[0] + 1} under {mode}")
+    return Dataset(points=(d.points - shift) / scale, labels=d.labels, name=d.name)

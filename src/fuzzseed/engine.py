@@ -340,7 +340,7 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
         d2 = sq_dists(centroids, points_t.T)
         um *= d2  # the products u^m d2, summed into FW in place of a fourth (k, n) array
         fw = float(um.sum())
-        _finite("FW or centroids", fw, centroids)
+        _finite("FW", fw)  # a non-finite centroid, of mass > 0, makes FW non-finite
         trace.append(fw)
         if prev_fw is not None and (
             prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon

@@ -258,13 +258,6 @@ STOCHASTIC = frozenset(
 )
 
 
-def _seeder(method: str):
-    try:
-        return SEEDERS[method]
-    except KeyError:
-        raise ValueError(f"unknown seeding method {method!r}") from None
-
-
 def seed_repeated(
     strategy: str,
     d: Dataset,
@@ -288,7 +281,6 @@ def seed_repeated(
     if not callable(inner) or strategy not in STOCHASTIC:
         raise ValueError(f"seed_repeated needs a stochastic strategy, got {strategy!r}")
     _check_k(d, k, minimum=2)  # every relaunch runs FCM
-    cfg = cfg or FcmConfig()
     seed = fresh_seed() if seed is None else int(seed)
     label = label or strategy
 
@@ -306,7 +298,7 @@ def seed_repeated(
         if best is None or result.fw < best[1].fw:
             best = (seeds, result)
     if best is None:
-        raise last_error if last_error is not None else EngineError("all relaunches failed")
+        raise last_error  # r >= 1, so some relaunch failed
 
     seeds, result = best
     seeds = replace(seeds, method=label, rng_seed=seed, relaunches=r)
@@ -318,19 +310,19 @@ def seed_repeated(
 def make_seeds(d: Dataset, k: int, method: str, seed: int | None = None) -> SeedSet:
     """Produce a SeedSet for any strategy id; a relaunch strategy picks its
     winner by FCM runs at the default FcmConfig."""
-    seeder = _seeder(method)
-    if isinstance(seeder, str):
-        return seed_repeated(seeder, d, k, seed=seed, label=method)[0]
+    seeder = SEEDERS.get(method)
+    if not callable(seeder):  # a relaunch strategy, or an unknown id fit_method rejects
+        return fit_method(d, k, method, seed=seed)[0]
     return seeder(d, k, seed=seed) if method in STOCHASTIC else seeder(d, k)
 
 
 def fit_method(d: Dataset, k: int, method: str, cfg: FcmConfig | None = None,
                seed: int | None = None) -> tuple[SeedSet, FcmResult]:
     """Seed with the named strategy and run FCM to convergence."""
-    cfg = cfg or FcmConfig()
-    seeder = _seeder(method)
+    if method not in SEEDERS:
+        raise ValueError(f"unknown seeding method {method!r}")
     _check_k(d, k, minimum=2)  # FCM needs two seeds, whichever strategy draws them
-    if isinstance(seeder, str):
-        return seed_repeated(seeder, d, k, seed=seed, cfg=cfg, label=method)
+    if isinstance(SEEDERS[method], str):
+        return seed_repeated(SEEDERS[method], d, k, seed=seed, cfg=cfg, label=method)
     seeds = make_seeds(d, k, method, seed=seed)
     return seeds, run_fcm(d, seeds, cfg)

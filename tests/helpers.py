@@ -227,8 +227,9 @@ def reference_seed_maxmin_quadratic(points, k):
 
 
 def reference_load_csv(path, label_column=None, delimiter=","):
-    """load_csv cell by cell: float() and isfinite on every cell, labels
-    checked where they are met. Same contract and messages as load_csv."""
+    """load_csv cell by cell: float() and isfinite on every feature cell;
+    int() on every label cell, and float() only where int() rejects it,
+    checked where it is met. Same contract and messages as load_csv."""
     import csv
     import math
     import os
@@ -269,16 +270,21 @@ def reference_load_csv(path, label_column=None, delimiter=","):
             raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
         feats = []
         for col, cell in enumerate(row, start=1):
-            value = parse(cell.strip())
+            cell = cell.strip()
+            if col - 1 == label_idx:
+                try:  # a label is read exactly when int() reads it
+                    value = int(cell)
+                except ValueError:
+                    value = parse(cell)
+            else:
+                value = parse(cell)
             if value is None:
-                raise DataError(
-                    f"{path}: non-numeric cell {cell.strip()!r} at line {line}, column {col}"
-                )
+                raise DataError(f"{path}: non-numeric cell {cell!r} at line {line}, column {col}")
             if col - 1 == label_idx:
                 if value != int(value):
-                    raise DataError(f"{path}: non-integer label {cell.strip()!r} at line {line}")
+                    raise DataError(f"{path}: non-integer label {cell!r} at line {line}")
                 if abs(value) >= 2**63:
-                    raise DataError(f"{path}: out-of-range label {cell.strip()!r} at line {line}")
+                    raise DataError(f"{path}: out-of-range label {cell!r} at line {line}")
                 labels.append(int(value))
             else:
                 feats.append(value)

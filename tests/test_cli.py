@@ -648,6 +648,19 @@ def test_bench_rejects_unknown_method(capsys, tmp_path):
     assert not (tmp_path / "rep").exists()
 
 
+def test_bench_dataset_names_sharing_a_table_name_exit_1(capsys, tmp_path):
+    # "a b" and "a_b" would both write tables/a_b_values.csv
+    spec = {"kind": "gaussian_clusters", "k": 2, "size": 6, "sigma": 0.3, "dims": 2, "rng_seed": 9}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"name": name, "expected_k": 2, "generator": spec}
+                                    for name in ("a b", "a_b")]))
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest), "--out",
+                             str(tmp_path / "rep"), "--seed", "2", "--methods", "maxmin_linear")
+    assert (code, out) == (1, "")
+    assert "dataset names must be unique as table names, got ['a_b', 'a_b']" in err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_bench_unwritable_out_is_data_error(capsys, tmp_path):
     manifest = write_bench_manifest(tmp_path)
     out_dir = manifest / "report"  # under a file
