@@ -9,7 +9,6 @@ byte-identical across runs and parallelism settings.
 """
 
 import json
-import numbers
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SCHEMA, DataError, Dataset, load_csv_source, standardize
+from .data import SCHEMA, DataError, Dataset, check_types, load_csv_source, read_json, standardize
 from .engine import EngineError, FcmConfig
 from .rng import RNG_NAME, SEED_SCHEME, derive_seed
 from .seeding import DEFAULT_BENCH_METHODS, RELAUNCH_COUNT, STRATEGIES, fit_method
@@ -138,10 +137,7 @@ def load_manifest(path) -> list[BenchJob]:
     that fails to load becomes an errored job instead of aborting.
     """
     path = Path(path)
-    try:
-        entries = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    entries = read_json(path, "manifest")
     if not isinstance(entries, list):
         raise DataError(f"manifest {path} must be a JSON list")
 
@@ -159,9 +155,8 @@ def load_manifest(path) -> list[BenchJob]:
             continue
         name = entry.get("name", f"dataset_{i}")
         try:
+            check_types(entry, ("expected_k",), ())
             expected_k = entry["expected_k"]
-            if isinstance(expected_k, bool) or not isinstance(expected_k, numbers.Integral):
-                raise ValueError(f"expected_k must be an integer, got {type(expected_k).__name__}")
             if "path" in entry:
                 ds = load_csv_source(entry, path.parent)
             elif "generator" in entry:
@@ -204,9 +199,9 @@ def run_comparison(
 ) -> ComparisonReport:
     """Run every (dataset, method) cell and collect criterion values.
 
-    `jobs` is a sequence of BenchJob or (Dataset, expected_k) pairs. Cells
-    are independent and may run in parallel; assembly order (and therefore
-    serialized output) is fixed by the input order regardless of n_jobs.
+    `jobs` (BenchJob or (Dataset, expected_k) pairs) and `methods` must be non-empty,
+    n_jobs an integer >= 1. Cells are independent and may run in parallel; assembly
+    order (and therefore serialized output) is fixed by the input order regardless of n_jobs.
     """
     cfg = cfg or FcmConfig()
     jobs = [
@@ -217,13 +212,16 @@ def run_comparison(
     unknown = [m for m in methods if m not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")
-    if not methods:
-        raise ValueError("methods list is empty")
+    grid = [(job, method) for job in jobs for method in methods]
+    if not grid:
+        raise ValueError(f"the grid is empty: {len(jobs)} datasets x {len(methods)} methods")
+    check_types({"n_jobs": n_jobs}, ("n_jobs",), ())
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     slugs = [_slug(job.name) for job in jobs]  # unique slugs imply unique names
     if len(set(slugs)) != len(slugs):
         raise ValueError(f"dataset names must be unique as table names, got {slugs}")
 
-    grid = [(job, method) for job in jobs for method in methods]
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             results = list(

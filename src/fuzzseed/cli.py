@@ -11,15 +11,14 @@ always echoed in the output.
 import argparse
 import csv
 import json
-import numbers
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .data import (SCHEMA, STANDARDIZE_MODES, DataError, _table_rows, _write_rows, load_csv,
-                   standardize, write_csv)
+from .data import (SCHEMA, STANDARDIZE_MODES, DataError, _table_rows, _write_rows, check_types,
+                   load_csv, read_json, standardize, write_csv)
 from .engine import EngineError, FcmConfig, _inertia_fault, update_membership
 from .rng import fresh_seed
 from .seeding import DEFAULT_BENCH_METHODS, STRATEGIES, fit_method, make_seeds
@@ -66,6 +65,12 @@ def _add_data_flags(p):
     p.add_argument("--standardize", default="none", choices=STANDARDIZE_MODES)
 
 
+def _add_fcm_flags(p):
+    p.add_argument("--m", type=float, default=FcmConfig.m)
+    p.add_argument("--epsilon", type=float, default=FcmConfig.epsilon)
+    p.add_argument("--max-iter", type=int, default=FcmConfig.max_iterations)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fuzzseed", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -81,9 +86,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", required=True, choices=STRATEGIES)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=1000)
+    _add_fcm_flags(p)
     p.add_argument("--out", default=None, help="write result JSON here instead of stdout")
     p.add_argument("--membership-out", default=None, help="write the membership matrix as CSV")
 
@@ -104,9 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=1000)
+    _add_fcm_flags(p)
     p.add_argument("--formats", default=",".join(FORMATS),
                    help=f"comma-separated subset of {', '.join(FORMATS)}")
     return parser
@@ -183,27 +184,29 @@ def cmd_validate(args) -> int:
     ds = _load_dataset(args)
     # Reading, checking and scoring the result file is one step: any defect
     # of the file, including a value an index rejects, is a DataError.
+    payload = read_json(args.result, "result")
     try:
-        payload = json.loads(Path(args.result).read_text())
+        coordinates = {f"centroids[{i}][{j}]": v
+                       for i, row in enumerate(payload["centroids"]) for j, v in enumerate(row)}
+        check_types(payload | coordinates, ("n",), ("m", "fw", "fb", "fi", *coordinates))
         centroids = np.array(payload["centroids"], dtype=float)
         m = FcmConfig(m=float(payload["m"])).m
         fw, fb, fi = (float(payload[key]) for key in ("fw", "fb", "fi"))
         if centroids.ndim != 2 or centroids.shape[1] != ds.p:
             raise ValueError(f"result dimension {centroids.shape} does not match data p={ds.p}")
-        if not (np.isfinite([fw, fb, fi]).all() and np.isfinite(centroids).all()):
-            raise ValueError("fw, fb, fi and the centroids must be finite")
+        if not np.isfinite(centroids).all():
+            raise ValueError("the centroids must be finite")
         if fault := _inertia_fault(fw, fb, fi):
             raise ValueError(fault)
-        n = payload.get("n", ds.n)
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n != ds.n:
-            raise ValueError(f"result n={n!r} does not match data n={ds.n}")
+        if payload.get("n", ds.n) != ds.n:
+            raise ValueError(f"result n={payload['n']!r} does not match data n={ds.n}")
         if args.membership:
             u = _load_membership(args.membership, ds.n, centroids.shape[0])
         else:
             u = update_membership(ds.points, centroids, m)
         out = score_partition(ds.n, centroids, u, fw, fb, fi).to_dict()
-    # JSONDecodeError is a ValueError, float() of an integer beyond float64 an OverflowError
-    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+    # float() of an integer beyond float64 is an OverflowError
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise DataError(f"cannot read result {args.result}: {exc}") from exc
     if not args.membership:
         print("membership not supplied; recomputing from centroids", file=sys.stderr)
@@ -213,10 +216,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = json.loads(Path(args.spec).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read spec {args.spec}: {exc}") from exc
+    spec = read_json(args.spec, "spec")
     ds = dataset_from_spec(spec, base_dir=Path(args.spec).parent)
     write_csv(ds, args.out)
     _emit(

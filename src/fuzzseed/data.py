@@ -7,6 +7,8 @@ separate point class.
 
 import csv
 import itertools
+import json
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +23,29 @@ STANDARDIZE_MODES = ("none", "z-score", "min-max")
 
 class DataError(Exception):
     """Raised for unreadable, malformed, or inconsistent dataset input."""
+
+
+def read_json(path, what: str):
+    """The JSON document at `path`, the `what` (manifest, spec, result) of a command."""
+    try:
+        return json.loads(Path(path).read_text())
+    # bad UTF-8 or bad JSON is a ValueError, nesting too deep for the parser a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def check_types(values, integers, reals) -> None:
+    """Raise ValueError naming the first key of `integers` and `reals` in the mapping
+    `values` whose value is not a JSON integer or number (a bool is neither); an
+    absent key is not checked, and rng_seed may be None (a fresh seed)."""
+    for name in (name for name in (*integers, *reals) if name in values):
+        value = values[name]
+        kind = numbers.Integral if name in integers else numbers.Real
+        if (isinstance(value, bool) or not isinstance(value, kind)) and not (
+            name == "rng_seed" and value is None
+        ):
+            what = "an integer" if kind is numbers.Integral else "a number"
+            raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SCHEMA, Dataset
+from .data import SCHEMA, Dataset, check_types
 
 
 class EngineError(Exception):
@@ -48,22 +48,23 @@ def _finite(what: str, *values) -> None:
 
 
 def _inertia_fault(fw: float, fb: float, fi: float) -> str | None:
-    """How fw, fb, fi break the inertia rule (a NaN does), or None when they keep it."""
-    if not (fw >= 0.0 and fb >= 0.0 and fi > 0.0 and abs(fi - (fw + fb)) <= 1e-9 * fi):
-        return (f"need fw >= 0, fb >= 0, fi > 0 and fi = fw + fb within 1e-9 relative, "
+    """How fw, fb, fi break the inertia rule (a NaN or inf does), or None when they keep it."""
+    if not (fw >= 0.0 and fb >= 0.0 and 0.0 < fi < np.inf and abs(fi - (fw + fb)) <= 1e-9 * fi):
+        return (f"need fw >= 0, fb >= 0, finite fi > 0 and fi = fw + fb within 1e-9 relative, "
                 f"got {fw!r}, {fb!r}, {fi!r}")
 
 
 @dataclass(frozen=True)
 class FcmConfig:
     """Iteration parameters: finite fuzziness m > 1, finite relative-FW
-    tolerance epsilon > 0, iteration cap."""
+    tolerance epsilon > 0, integer iteration cap >= 1."""
 
     m: float = 2.0
     epsilon: float = 1e-4
     max_iterations: int = 1000
 
     def __post_init__(self):
+        check_types(vars(self), ("max_iterations",), ("m", "epsilon"))
         if not 1.0 < self.m < np.inf:
             raise ValueError(f"fuzziness m must be finite and exceed 1, got {self.m}")
         if not 0.0 < self.epsilon < np.inf:
@@ -90,8 +91,8 @@ class FcmResult:
     fi: float
     method: str | None = None
     dataset: str | None = None
-    m: float = 2.0
-    epsilon: float = 1e-4
+    m: float = FcmConfig.m
+    epsilon: float = FcmConfig.epsilon
 
     @property
     def k(self) -> int:

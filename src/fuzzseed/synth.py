@@ -7,34 +7,12 @@ around each label's gravity center, below it with a small probability
 and above it otherwise.
 """
 
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, load_csv_source
+from .data import Dataset, check_types, load_csv_source
 from .rng import fresh_seed, make_rng
-
-__all__ = [
-    "GaussianSpec",
-    "NoiseSpec",
-    "gen_gaussian_clusters",
-    "add_skewed_noise",
-    "dataset_from_spec",
-]
-
-
-def _check_types(spec, integers: tuple, reals: tuple) -> None:
-    """Raise ValueError naming the first field of the wrong JSON type (a
-    string, list or bool where a number belongs); rng_seed may be None."""
-    for name in integers + reals:
-        value = getattr(spec, name)
-        kind = numbers.Integral if name in integers else numbers.Real
-        if (isinstance(value, bool) or not isinstance(value, kind)) and not (
-            name == "rng_seed" and value is None
-        ):
-            what = "an integer" if kind is numbers.Integral else "a number"
-            raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +28,7 @@ class GaussianSpec:
     name: str | None = None
 
     def __post_init__(self):
-        _check_types(self, ("k", "size", "dims", "rng_seed"), ("sigma",))
+        check_types(vars(self), ("k", "size", "dims", "rng_seed"), ("sigma",))
         if self.name is not None and not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {type(self.name).__name__}")
         if self.k < 1:
@@ -75,8 +53,8 @@ class NoiseSpec:
     rng_seed: int | None = None
 
     def __post_init__(self):
-        _check_types(self, ("points_per_label", "rng_seed"),
-                     ("left_fraction", "spread_multiplier"))
+        check_types(vars(self), ("points_per_label", "rng_seed"),
+                    ("left_fraction", "spread_multiplier"))
         if self.points_per_label < 1:
             raise ValueError(f"points_per_label must be >= 1, got {self.points_per_label}")
         if not 0.0 < self.left_fraction < 1.0:

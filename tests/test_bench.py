@@ -346,6 +346,13 @@ def test_run_comparison_input_validation(two_pairs):
         run_comparison([(two_pairs, 2)], methods=["pca_part"])
     with pytest.raises(ValueError, match="empty"):
         run_comparison([(two_pairs, 2)], methods=[])
+    with pytest.raises(ValueError, match="empty: 0 datasets"):
+        run_comparison([], methods=["maxmin_linear"])
+    for n_jobs in (0, -2):
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_comparison([(two_pairs, 2)], methods=["maxmin_linear"], n_jobs=n_jobs)
+    with pytest.raises(ValueError, match="n_jobs must be an integer"):
+        run_comparison([(two_pairs, 2)], methods=["maxmin_linear"], n_jobs=2.0)
     with pytest.raises(ValueError, match="unique"):
         run_comparison([(two_pairs, 2), (two_pairs, 2)], methods=["maxmin_linear"])
 
@@ -375,10 +382,14 @@ def test_write_report_json_only_makes_no_tables_dir(tmp_path):
     (None, "cannot read manifest"),
     ("[{", "cannot read manifest"),
     ('{"name": "a", "expected_k": 2}', "must be a JSON list"),
+    pytest.param(b"\xff\xfe\x00bad", "cannot read manifest .*codec", id="undecodable"),
+    pytest.param(b"[" * 200000, "cannot read manifest .*recursion", id="deep"),
 ])
 def test_load_manifest_unreadable_or_not_a_list_is_data_error(tmp_path, text, message):
     path = tmp_path / "manifest.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     with pytest.raises(DataError, match=message):
         load_manifest(path)

@@ -353,7 +353,9 @@ def test_validate_mismatched_data(capsys, tmp_path, ruspini_csv, line5):
                                  {"n": None}, {"n": "abc"}, {"n": 75.5}, {"n": True},
                                  {"fi": -1}, {"fb": -5}, {"fb": float("inf")},
                                  {"centroids": [[0.0, 1.0]]}, {"fw": -5.0}, {"fb": 0.0},
-                                 {"fw": 0.0, "fb": 0.0, "fi": 0.0}])
+                                 {"fw": 0.0, "fb": 0.0, "fi": 0.0}, {"m": "2"},
+                                 {"centroids": [["0", "1"], ["2", "3"]]},
+                                 {"centroids": [[True, 1.0], [0.0, 1.0]]}])
 def test_validate_malformed_result_is_data_error(capsys, tmp_path, ruspini_csv, bad):
     out_json = tmp_path / "fit.json"
     run_cli(capsys, "fit", "--data", str(ruspini_csv), "--label-column", "label",
@@ -363,6 +365,16 @@ def test_validate_malformed_result_is_data_error(capsys, tmp_path, ruspini_csv, 
                              "--data", str(ruspini_csv), "--label-column", "label")
     assert (code, out) == (2, "")
     assert err.startswith(f"fuzzseed: cannot read result {out_json}: ")
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe\x00bad", b"[" * 200000], ids=["undecodable", "deep"])
+def test_validate_unreadable_result_is_data_error(capsys, tmp_path, ruspini_csv, text):
+    result = tmp_path / "fit.json"
+    result.write_bytes(text)
+    code, out, err = run_cli(capsys, "validate", "--result", str(result),
+                             "--data", str(ruspini_csv), "--label-column", "label")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fuzzseed: cannot read result {result}: ")
 
 
 def test_validate_overflowing_centroid_is_engine_error(capsys, tmp_path, ruspini_csv):
@@ -473,6 +485,60 @@ def test_validate_any_result_value_exits_0_or_2(fitted_ruspini, field, value, ce
             json.loads(out.getvalue(), parse_constant=_reject_constant)
         else:
             assert out.getvalue() == ""
+
+
+# Any document for the three commands that read JSON: raw bytes, "[" nested
+# deeper or shallower than the parser allows, or JSON whose strings (keys
+# too) have at most 6 characters, too few to name a generator kind or a
+# manifest's "expected_k", so no entry can ask for a large dataset.
+_JSON_DOCUMENTS = st.one_of(
+    st.binary(max_size=40),
+    st.integers(1, 5000).map(lambda depth: b"[" * depth),
+    st.integers(1, 5000).map(lambda depth: b"[" * depth + b"]" * depth),
+    st.recursive(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                           st.text(max_size=6)),
+                 lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                         st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+                 max_leaves=12).map(lambda value: json.dumps(value).encode()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=_JSON_DOCUMENTS)
+@example(document=b"[]")
+@example(document=b"[" * 200000)
+def test_any_json_document_exits_0_1_or_2(fitted_ruspini, document):
+    data = fitted_ruspini[0]
+    doc, report = data.with_name("doc.json"), data.with_name("rep")
+    csv_out = data.with_name("gen.csv")
+    doc.write_bytes(document)
+    for argv in (["generate", "--spec", str(doc), "--out", str(csv_out)],
+                 ["bench", "--manifest", str(doc), "--out", str(report), "--seed", "1"],
+                 ["validate", "--result", str(doc), "--data", str(data)]):
+        report.joinpath("report.json").unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            if argv[0] == "bench":
+                json.loads(report.joinpath("report.json").read_text(),
+                           parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == ""
+
+
+def test_bench_empty_manifest_is_usage_error(capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]")
+    code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest), "--out",
+                             str(tmp_path / "rep"), "--seed", "2")
+    assert (code, out) == (1, "")
+    assert "the grid is empty: 0 datasets x 5 methods" in err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_generate_shapes_and_determinism(capsys, tmp_path):
@@ -702,11 +768,12 @@ def test_fit_echoes_drawn_seed(capsys, line5):
     assert seed is not None and f"seed={seed}\n" in err
 
 
-@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not_json"])
+@pytest.mark.parametrize("text", [None, b"{not json", b"\xff\xfe\x00bad", b"[" * 200000],
+                         ids=["missing", "not_json", "undecodable", "deep"])
 def test_generate_unreadable_spec_is_data_error(capsys, tmp_path, text):
     spec = tmp_path / "spec.json"
     if text is not None:
-        spec.write_text(text)
+        spec.write_bytes(text)
     code, out, err = run_cli(capsys, "generate", "--spec", str(spec), "--out",
                              str(tmp_path / "x.csv"))
     assert (code, out) == (2, "")

@@ -42,6 +42,18 @@ def test_config_validation():
         FcmConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         FcmConfig(max_iterations=0)
+    # a value of the wrong JSON type: a float or bool cap, a bool or string m or epsilon
+    for bad in ({"max_iterations": 2.5}, {"max_iterations": True}, {"epsilon": True},
+                {"m": True}, {"m": "2"}):
+        with pytest.raises(ValueError, match="must be an integer|must be a number"):
+            FcmConfig(**bad)
+
+
+@pytest.mark.parametrize("fw, fb, fi", [(1.0, 1.0, np.inf), (np.inf, 0.0, np.inf),
+                                        (1.0, 1.0, np.nan), (0.0, 0.0, 0.0)])
+def test_inertia_rule_needs_a_finite_positive_fi(fw, fb, fi):
+    assert engine._inertia_fault(1.0, 1.0, 2.0) is None
+    assert "finite fi > 0" in engine._inertia_fault(fw, fb, fi)
 
 
 def test_membership_equidistant_is_half():
