@@ -12,6 +12,7 @@ from .engine import (
     fuzzy_inertia,
     fuzzy_within,
     run_fcm,
+    run_fcm_stacked,
     update_centroids,
     update_membership,
 )

@@ -244,12 +244,16 @@ def _labels(cells: list[str]) -> np.ndarray | None:
 
 def load_csv_source(source: dict, base_dir) -> Dataset:
     """Load the CSV a {"path", "label_column"?, "delimiter"?} object names;
-    a relative path resolves against base_dir."""
-    if not isinstance(source["path"], str):
-        raise DataError(f"path must be a string, got {type(source['path']).__name__}")
+    a relative path resolves against base_dir. A field of the wrong JSON
+    type is a ValueError."""
+    path, label_column = source["path"], source.get("label_column")
+    if not isinstance(path, str):
+        raise ValueError(f"path must be a string, got {type(path).__name__}")
+    if not isinstance(label_column, (str, type(None))):
+        raise ValueError(f"label_column must be a string, got {type(label_column).__name__}")
     return load_csv(
-        Path(base_dir) / source["path"],
-        label_column=source.get("label_column"),
+        Path(base_dir) / path,
+        label_column=label_column,
         delimiter=source.get("delimiter", ","),
     )
 

@@ -11,15 +11,18 @@ FB = sum_k (sum_i u_ik^m) d2(c_k, xbar). All distances are squared
 Euclidean; no other metric is supported.
 
 The kernel works cluster-major: points as a C-ordered (p, n) array,
-distances, u and u^m as (k, n) arrays. Small distance arrays are
-computed in one broadcast pass; larger ones, and the memberships, are
-filled one cache-sized column block at a time. run_fcm centres the
-points on their grand mean once and keeps its centroids centred until it
-returns them, so FW, FB and FI are summed from differences of the data's
-own scale whatever its offset. The public single-step functions run the
-same kernel on the coordinates they are given.
+distances, u and u^m as (r, k, n) arrays for r seed sets iterated
+together (run_fcm_stacked; run_fcm is its r = 1 case). Small distance
+arrays are computed in one broadcast pass; larger ones, and the
+memberships, are filled one cache-sized column block at a time. The loop
+centres the points on their grand mean once and keeps its centroids
+centred until it returns them, so FW, FB and FI are summed from
+differences of the data's own scale whatever its offset. The public
+single-step functions run the same kernel on the coordinates they are
+given.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +44,14 @@ class CollapsedClusterError(EngineError):
 quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
+def _overflow(what: str) -> EngineError:
+    return EngineError(f"non-finite {what}: squared distances overflow float64 (rescale the data)")
+
+
 def _finite(what: str, *values) -> None:
     """The one overflow rule: EngineError unless every value (float or array) is finite."""
     if not all(np.isfinite(v).all() for v in values):
-        raise EngineError(f"non-finite {what}: squared distances overflow float64 (rescale the data)")
+        raise _overflow(what)
 
 
 def _inertia_fault(fw: float, fb: float, fi: float) -> str | None:
@@ -65,6 +72,12 @@ class FcmConfig:
 
     def __post_init__(self):
         check_types(vars(self), ("max_iterations",), ("m", "epsilon"))
+        for name in ("m", "epsilon"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:  # an integer beyond float64; compared as is, it passes as finite
+                raise ValueError(f"{name} must be finite, got an integer too large for "
+                                 f"float64") from None
         if not 1.0 < self.m < np.inf:
             raise ValueError(f"fuzziness m must be finite and exceed 1, got {self.m}")
         if not 0.0 < self.epsilon < np.inf:
@@ -207,33 +220,37 @@ def _sq_dists_t(a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
 
 
 def _fuzzify(d2: np.ndarray, m: float) -> np.ndarray:
-    """Memberships from (k, n) squared distances, written over `d2` one
-    column block at a time; see update_membership. The one home of the
-    coincident-point rule."""
-    for cols in _column_blocks(*d2.shape):
-        block = d2[:, cols]
-        dmin = block.min(axis=0)
+    """Memberships from (r, k, n) squared distances, r independent (k, n)
+    slices, written over `d2` one column block at a time; see
+    update_membership. The one home of the coincident-point rule."""
+    r, k, n = d2.shape
+    for cols in _column_blocks(r * k, n):
+        block = d2[:, :, cols]
+        dmin = block.min(axis=1, keepdims=True)
         coincide = not dmin.all()  # some point sits on a centroid
         if coincide:
-            coincident = np.flatnonzero(dmin == 0.0)
-            hits = block[:, coincident] == 0.0
-            block[:, coincident] = 1.0  # placeholders, overwritten below
-            dmin[coincident] = 1.0
+            at, _, col = np.nonzero(dmin == 0.0)  # (slice, column) of each such point
+            hits = block[at, :, col] == 0.0
+            block[at, :, col] = 1.0  # placeholders, overwritten below
+            dmin[at, 0, col] = 1.0
         block /= dmin
         block **= -1.0 / (m - 1.0)
-        block /= block.sum(axis=0)
+        block /= block.sum(axis=1, keepdims=True)
         if coincide:
-            block[:, coincident] = hits / hits.sum(axis=0)
+            block[at, :, col] = hits / hits.sum(axis=1, keepdims=True)
     return d2
 
 
+def _collapsed(mass: np.ndarray) -> CollapsedClusterError:
+    """The error for a cluster mass row that holds a 0."""
+    empty = np.flatnonzero(mass == 0.0)[0]
+    return CollapsedClusterError(f"cluster {empty} has zero membership mass")
+
+
 def _centroids(points_t: np.ndarray, um: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """(k, p) centroids from (p, n) points, (k, n) u^m and its row sums;
-    a cluster of zero mass collapses."""
-    if not mass.all():
-        empty = np.flatnonzero(mass == 0.0)[0]
-        raise CollapsedClusterError(f"cluster {empty} has zero membership mass")
-    return (um @ points_t.T) / mass[:, None]
+    """(..., k, p) centroids from (p, n) points, (..., k, n) u^m and its
+    row sums, all of them nonzero."""
+    return (um @ points_t.T) / mass[..., None]
 
 
 def _fb(points_t: np.ndarray, centroids: np.ndarray, mass: np.ndarray) -> float:
@@ -262,13 +279,16 @@ def update_membership(points: np.ndarray, centroids: np.ndarray, m: float) -> np
     FcmConfig(m=m)  # the one fuzziness rule: finite and above 1
     d2 = sq_dists(centroids, points)
     _finite("distances to the centroids", d2)
-    return _fuzzify(d2, m).T.copy()
+    return _fuzzify(d2[None], m)[0].T.copy()
 
 
 def update_centroids(points: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
     """Centroid update: c_k = sum_i u_ik^m x_i / sum_i u_ik^m."""
     um = _cluster_major(u) ** m
-    return _centroids(_cluster_major(points), um, um.sum(axis=1))
+    mass = um.sum(axis=1)
+    if not mass.all():
+        raise _collapsed(mass)
+    return _centroids(_cluster_major(points), um, mass)
 
 
 def fuzzy_within(points, centroids, u, m: float) -> float:
@@ -290,7 +310,6 @@ def fuzzy_inertia(points, u, m: float) -> float:
     return _fi(_cluster_major(points), row_mass)
 
 
-@quiet_overflow
 def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     """Alternate membership/centroid updates from the given seeds.
 
@@ -303,21 +322,44 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     u^m row that underflows to 0 (a huge m), which leaves a point out of FW.
 
     `seeds` is a SeedSet or anything with a `.centroids` (K, p) array;
-    a bare array works too.
+    a bare array works too. This is run_fcm_stacked on one seed set.
+    """
+    (outcome,) = run_fcm_stacked(d, [seeds], cfg)
+    if isinstance(outcome, EngineError):
+        raise outcome
+    outcome.membership = outcome.membership.copy()
+    return outcome
+
+
+@quiet_overflow
+def run_fcm_stacked(d: Dataset, seed_sets, cfg: FcmConfig | None = None) -> list:
+    """run_fcm from each of r seed sets of one shape, iterated together.
+
+    Returns one outcome per seed set, in order: the FcmResult run_fcm
+    would return for it alone, to the bit, or the EngineError it would
+    raise. A fault every seed set shares (k < 2, k > n, a seed dimension
+    other than p, identical points) is raised instead.
+
+    The loop holds (r, k, n) distances, u and u^m, and makes one sq_dists
+    call per cycle over all r*k centroids. A relaunch that converges,
+    reaches the iteration cap, collapses or goes non-finite leaves the
+    stack and the others go on. Each membership is an (n, k) view of the
+    loop's arrays: copy the one you keep. The caller bounds r*k*n.
     """
     cfg = cfg or FcmConfig()
-    centroids = np.array(getattr(seeds, "centroids", seeds), dtype=float)
-    method = getattr(seeds, "method", None)
+    seed_sets = list(seed_sets)  # read twice below
+    centroids = np.array([getattr(seeds, "centroids", seeds) for seeds in seed_sets], dtype=float)
+    if centroids.ndim != 3:
+        raise ValueError(f"need one or more (k, p) seed arrays, got shape {centroids.shape}")
+    methods = [getattr(seeds, "method", None) for seeds in seed_sets]
+    r, k, p = centroids.shape
     n = d.n
-    k = centroids.shape[0]
     if k < 2:
         raise EngineError(f"need at least 2 seeds, got {k}")
     if k > n:
         raise EngineError(f"k={k} exceeds n={n}")
-    if centroids.shape[1] != d.p:
-        raise EngineError(
-            f"seed dimension {centroids.shape[1]} does not match data p={d.p}"
-        )
+    if p != d.p:
+        raise EngineError(f"seed dimension {p} does not match data p={d.p}")
 
     points = d.points
     if (points == points[0]).all():
@@ -327,52 +369,88 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     # cluster-major; the centroids stay centred until they are returned.
     xbar = points.mean(axis=0)
     points_t = np.subtract(points.T, xbar[:, None], order="C")
-    centroids = centroids - xbar
+    centroids -= xbar
+    outcomes: list = [None] * r
+    traces: list[list[float]] = [[] for _ in range(r)]
+    ended = []  # (relaunch, final u, masses, centred centroids) of each that left with an FW
+    live = list(range(r))  # the relaunch of each slice of the stack
     # The distances that give FW for one cycle are the ones the next
     # cycle's membership update needs: one distance pass per cycle.
-    d2 = sq_dists(centroids, points_t.T)
-    trace: list[float] = []
-    prev_fw = None
-    for _ in range(cfg.max_iterations):
+    d2 = sq_dists(centroids.reshape(r * k, p), points_t.T).reshape(r, k, n)
+    for cycle in range(cfg.max_iterations):
         u = _fuzzify(d2, m)
         um = u**m
-        mass = um.sum(axis=1)
+        mass = um.sum(axis=2)
+        if not mass.all():
+            full = mass.all(axis=1)
+            for pos in np.flatnonzero(~full):
+                outcomes[live[pos]] = _collapsed(mass[pos])
+            live = [i for i, ok in zip(live, full) if ok]
+            if not live:
+                break
+            u, um, mass = u[full], um[full], mass[full]
         centroids = _centroids(points_t, um, mass)
-        d2 = sq_dists(centroids, points_t.T)
-        um *= d2  # the products u^m d2, summed into FW in place of a fourth (k, n) array
-        fw = float(um.sum())
-        _finite("FW", fw)  # a non-finite centroid, of mass > 0, makes FW non-finite
-        trace.append(fw)
-        if prev_fw is not None and (
-            prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon
-        ):
+        d2 = sq_dists(centroids.reshape(-1, p), points_t.T).reshape(u.shape)
+        um *= d2  # the products u^m d2, summed into FW in place of a fourth array
+        stay, leave = [], []
+        for pos, fw in enumerate(um.reshape(len(live), -1).sum(axis=1).tolist()):
+            i, trace = live[pos], traces[live[pos]]
+            if not math.isfinite(fw):  # a non-finite centroid, of mass > 0, makes FW non-finite
+                outcomes[i] = _overflow("FW")
+                continue
+            trace.append(fw)
+            prev_fw = trace[-2] if len(trace) > 1 else None
+            converged = prev_fw is not None and (
+                prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon
+            )
+            (leave if converged or cycle + 1 == cfg.max_iterations else stay).append(pos)
+        if not stay:  # the last cycle: the final memberships are slices of u itself
+            ended += [(live[pos], u[pos], mass[pos], centroids[pos]) for pos in leave]
             break
-        prev_fw = fw
+        if len(stay) < len(live):
+            ended += [(live[pos], u[pos].copy(), mass[pos], centroids[pos]) for pos in leave]
+            live = [live[pos] for pos in stay]
+            d2 = d2[stay]
 
     # Some u_ik >= 1/k in every row, so only underflow zeroes a u^m row.
     # u^m is taken again, to the same bits, once the loop's arrays are gone.
     del d2, um
+    for i, u, mass, centroids in ended:
+        trace = traces[i]
+        try:
+            fb, fi = _final_split(points_t, u, mass, centroids, trace[-1], m)
+        except EngineError as exc:
+            outcomes[i] = exc
+            continue
+        outcomes[i] = FcmResult(
+            centroids=centroids + xbar,
+            membership=u.T,
+            iterations=len(trace),
+            objective_trace=trace,
+            fw=trace[-1],
+            fb=fb,
+            fi=fi,
+            method=methods[i],
+            dataset=d.name,
+            m=m,
+            epsilon=cfg.epsilon,
+        )
+    return outcomes
+
+
+def _final_split(points_t, u, mass, centroids, fw: float, m: float) -> tuple[float, float]:
+    """FB and FI of one converged relaunch, from its (k, n) memberships,
+    masses and centred centroids; EngineError when a point's u^m row is 0
+    or the split breaks the inertia rule."""
     row_mass = (u**m).sum(axis=0)
     if not row_mass.all():
         raise EngineError(
-            f"u**m underflows to 0 for {np.count_nonzero(row_mass == 0.0)} of {n} points "
-            f"at m={m:g} (lower the fuzziness m)"
+            f"u**m underflows to 0 for {np.count_nonzero(row_mass == 0.0)} of {u.shape[1]} "
+            f"points at m={m:g} (lower the fuzziness m)"
         )
     fb, fi = _fb(points_t, centroids, mass), _fi(points_t, row_mass)
     _finite("FB or FI", fb, fi)
-    if fault := _inertia_fault(trace[-1], fb, fi):
+    if fault := _inertia_fault(fw, fb, fi):
         raise EngineError(f"FI = FW + FB fails, as when squared distances underflow "
                           f"float64 (rescale the data): {fault}")
-    return FcmResult(
-        centroids=centroids + xbar,
-        membership=u.T.copy(),
-        iterations=len(trace),
-        objective_trace=trace,
-        fw=trace[-1],
-        fb=fb,
-        fi=fi,
-        method=method,
-        dataset=d.name,
-        m=m,
-        epsilon=cfg.epsilon,
-    )
+    return fb, fi

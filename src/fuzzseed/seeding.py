@@ -16,6 +16,12 @@ Every argmax/argmin over data points breaks ties by lowest index, so the
 deterministic strategies are exactly reproducible. Stochastic strategies
 record their effective seed in the returned SeedSet. The distance-based
 strategies run the engine's distance kernel on one (p, n) copy of the points.
+
+The two relaunch strategies go through seed_repeated: it draws all r seed
+sets, fits them in stacks with the engine's run_fcm_stacked, as many per
+stack as keep its (r, k, n) arrays within _STACK_CELLS cells, and keeps
+the lowest final FW. Each relaunch gets the bits run_fcm would give it
+alone, so stacking changes no result, only the number of numpy calls.
 """
 
 import inspect
@@ -25,13 +31,17 @@ import numpy as np
 
 from .data import SCHEMA, Dataset
 from .engine import (_BLOCK_CELLS, EngineError, FcmConfig, FcmResult, _cluster_major,
-                     _finite, _sq_dists_t, quiet_overflow, run_fcm)
+                     _finite, _sq_dists_t, quiet_overflow, run_fcm, run_fcm_stacked)
 from .rng import RNG_NAME, derive_seed, fresh_seed, make_rng
 
 # Default comparison set; the quadratic maxmin oracle is excluded.
 DEFAULT_BENCH_METHODS = ("macqueen2", "faber", "kmeanspp", "kmeanspp_x10", "maxmin_linear")
 
 RELAUNCH_COUNT = 10
+
+# Cells of each (r, k, n) array of one relaunch stack: seed_repeated runs
+# max(1, _STACK_CELLS // (k * n)) relaunches per run_fcm_stacked call.
+_STACK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -271,9 +281,14 @@ def seed_repeated(
     keep the run with the smallest final FW (ties: lowest relaunch index).
 
     Relaunch seeds are derived from the master seed by hashing the
-    relaunch index. The winning FcmResult's `iterations` is replaced by
-    the summed total over all relaunches, which is the cost the benchmark
-    reports. A failed relaunch is discarded if at least one succeeds.
+    relaunch index, and all r seed sets are drawn first. The relaunches
+    then run stacked, run_fcm_stacked over as many at a time as keep its
+    (r, k, n) arrays within _STACK_CELLS cells (at least one); each gets
+    the bits run_fcm would give it alone. The winning FcmResult's
+    `iterations` is replaced by the summed total over the relaunches that
+    succeed, which is the cost the benchmark reports. A failed relaunch is
+    discarded if at least one succeeds; when none does, the error of the
+    last one is raised.
     """
     if r < 1:
         raise ValueError(f"relaunch count must be >= 1, got {r}")
@@ -284,24 +299,27 @@ def seed_repeated(
     seed = fresh_seed() if seed is None else int(seed)
     label = label or strategy
 
+    seed_sets = [inner(d, k, seed=derive_seed(seed, i)) for i in range(r)]
+    per_stack = max(1, _STACK_CELLS // (k * d.n))
     best: tuple[SeedSet, FcmResult] | None = None
     total_iterations = 0
     last_error: EngineError | None = None
-    for i in range(r):
-        seeds = inner(d, k, seed=derive_seed(seed, i))
-        try:
-            result = run_fcm(d, seeds, cfg)
-        except EngineError as exc:
-            last_error = exc
-            continue
-        total_iterations += result.iterations
-        if best is None or result.fw < best[1].fw:
-            best = (seeds, result)
+    for start in range(0, r, per_stack):
+        chunk = seed_sets[start : start + per_stack]
+        for seeds, outcome in zip(chunk, run_fcm_stacked(d, chunk, cfg)):
+            if isinstance(outcome, EngineError):
+                last_error = outcome
+                continue
+            total_iterations += outcome.iterations
+            if best is None or outcome.fw < best[1].fw:
+                best = (seeds, outcome)
+        del outcome  # else a losing fit's memberships stay alive through the next stack
     if best is None:
         raise last_error  # r >= 1, so some relaunch failed
 
     seeds, result = best
     seeds = replace(seeds, method=label, rng_seed=seed, relaunches=r)
+    result.membership = result.membership.copy()
     result.method = label
     result.iterations = total_iterations
     return seeds, result

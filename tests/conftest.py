@@ -22,6 +22,15 @@ def traced_peak(call, *args, **kwargs):
         tracemalloc.stop()
 
 
+def assert_same_fit(got, want):
+    """Two FcmResults of one run, equal to the bit."""
+    assert got.objective_trace == want.objective_trace
+    assert got.iterations == want.iterations
+    assert np.array_equal(got.centroids, want.centroids)
+    assert np.array_equal(got.membership, want.membership)
+    assert (got.fw, got.fb, got.fi) == (want.fw, want.fb, want.fi)
+
+
 def make_ruspini_like():
     """A 75x2, 4-label stand-in with the classic group sizes 20/23/17/15.
 

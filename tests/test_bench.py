@@ -305,6 +305,19 @@ def test_load_manifest_non_string_path_is_errored_job(tmp_path):
     assert all("path must be a string" in j.error and j.dataset is None for j in jobs)
 
 
+def test_load_manifest_non_string_label_column_is_errored_job(tmp_path):
+    (tmp_path / "ok.csv").write_text("x,label\n0.0,1\n1.0,2\n")
+    manifest = [
+        {"name": "int_label", "expected_k": 2, "path": "ok.csv", "label_column": 5},
+        {"name": "noised", "expected_k": 2,
+         "generator": {"kind": "skewed_noise", "base": {"path": "ok.csv", "label_column": [1]}}},
+    ]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    jobs = load_manifest(tmp_path / "manifest.json")
+    assert [j.name for j in jobs] == ["int_label", "noised"]
+    assert all("label_column must be a string" in j.error and j.dataset is None for j in jobs)
+
+
 def test_load_manifest_unreadable_csv_is_errored_job(tmp_path):
     (tmp_path / "ok.csv").write_text("a,b\n1,2\n3,4\n")
     (tmp_path / "long.csv").write_text("a,b\n1," + "1" * 200000 + "\n")

@@ -594,6 +594,22 @@ def test_generate_rejects_a_non_string_name(capsys, tmp_path):
     assert err == "fuzzseed: error: name must be a string, got list\n"
     assert not (tmp_path / "x.csv").exists()
 
+
+@pytest.mark.parametrize("base, message", [
+    ({"path": 5}, "path must be a string, got int"),
+    ({"path": "base.csv", "label_column": 5}, "label_column must be a string, got int"),
+])
+def test_generate_rejects_a_wrong_typed_base_source(capsys, tmp_path, base, message):
+    (tmp_path / "base.csv").write_text("x,label\n0.0,1\n1.0,2\n")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "skewed_noise", "base": base}))
+    code, out, err = run_cli(capsys, "generate", "--spec", str(path), "--out",
+                             str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == f"fuzzseed: error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def write_bench_manifest(tmp_path, include_broken=False):
     entries = [
         {"name": f"blob{i}", "expected_k": 3,

@@ -13,13 +13,14 @@ from fuzzseed import (
     fuzzy_inertia,
     fuzzy_within,
     run_fcm,
+    run_fcm_stacked,
     update_centroids,
     update_membership,
 )
 from fuzzseed import engine
 from fuzzseed.engine import sq_dists
 
-from .conftest import traced_peak
+from .conftest import assert_same_fit, traced_peak
 from .helpers import (
     brute_force_membership,
     random_instance,
@@ -42,6 +43,10 @@ def test_config_validation():
         FcmConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         FcmConfig(max_iterations=0)
+    # an integer float64 cannot hold passes a comparison with inf
+    for name in ("m", "epsilon"):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got an integer too large"):
+            FcmConfig(**{name: 10**400})
     # a value of the wrong JSON type: a float or bool cap, a bool or string m or epsilon
     for bad in ({"max_iterations": 2.5}, {"max_iterations": True}, {"epsilon": True},
                 {"m": True}, {"m": "2"}):
@@ -460,3 +465,76 @@ def test_run_fcm_identical_points_is_engine_error():
             run_fcm(Dataset(points=points, name="same"), points[:2], FcmConfig())
     res = run_fcm(Dataset(points=[[0.0], [0.0], [1.0]], name="two"), [[0.0], [1.0]])
     assert res.fw == 0.0
+
+
+def assert_stack_matches_run_fcm(d, seed_sets, cfg):
+    """Every outcome of run_fcm_stacked is, to the bit, what run_fcm gives
+    or raises for that seed set alone; returns the outcomes."""
+    outcomes = run_fcm_stacked(d, seed_sets, cfg)
+    assert len(outcomes) == len(seed_sets)
+    for seeds, got in zip(seed_sets, outcomes):
+        try:
+            want = run_fcm(d, seeds, cfg)
+        except EngineError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert_same_fit(got, want)
+    return outcomes
+
+
+def draw_seed_sets(rng, points, k, r, coincident=0.0):
+    """r seed sets of k data rows, repeated rows with probability `coincident`."""
+    n = len(points)
+    return [points[rng.choice(n, size=k, replace=bool(rng.random() < coincident))]
+            for _ in range(r)]
+
+
+def test_run_fcm_stacked_matches_run_fcm_bitwise():
+    rng = np.random.default_rng(16)
+    # the relaunch grid's shapes: k 3, 4, 6 Gaussian clusters in 4 features;
+    # at n=900, k=6 the stacked distance pass takes the per-feature loop
+    for k, size in ((3, 40), (4, 40), (6, 40), (6, 150)):
+        centers = rng.normal(scale=3.0, size=(k, 4))
+        points = (centers[:, None, :] + rng.normal(scale=0.5, size=(k, size, 4))).reshape(-1, 4)
+        d = Dataset(points=points, name=f"grid_k{k}")
+        outcomes = assert_stack_matches_run_fcm(d, draw_seed_sets(rng, points, k, 10), FcmConfig())
+        assert len({o.iterations for o in outcomes}) > 1  # relaunches leave at different cycles
+        # the iteration cap: every relaunch stops at 3, or some converge first
+        for cap in (3, 6):
+            cfg = FcmConfig(epsilon=1e-3, max_iterations=cap)
+            outcomes = assert_stack_matches_run_fcm(d, draw_seed_sets(rng, points, k, 5), cfg)
+            assert max(o.iterations for o in outcomes) == cap
+    # duplicate rows, and seeds that coincide with points and with each other
+    for trial in range(40):
+        points, _ = fusion_instance(rng)
+        k = int(rng.integers(2, min(6, len(points)) + 1))
+        cfg = FcmConfig(m=(1.5, 2.0, 3.0)[trial % 3], epsilon=1e-6)
+        seed_sets = draw_seed_sets(rng, points, k, 4, coincident=0.3)
+        assert_stack_matches_run_fcm(Dataset(points=points, name="fuzz"), seed_sets, cfg)
+    # k >= 8 on a few points: numpy sums a reduction over one column pairwise
+    for k in (8, 9, 12):
+        for n in (k, k + 1, k + 3):
+            points = rng.normal(size=(n, 2))
+            assert_stack_matches_run_fcm(Dataset(points=points, name="tiny"),
+                                         draw_seed_sets(rng, points, k, 5), FcmConfig())
+
+
+def test_run_fcm_stacked_drops_a_collapsed_relaunch_alone():
+    rng = np.random.default_rng(17)
+    points = rng.normal(size=(30, 2))
+    d = Dataset(points=points, name="far")
+    far = np.array([[0.0, 0.0], [1e100, 1e100]])  # u^m of the far centroid underflows to 0
+    seed_sets = [points[:2], far, points[5:7]]
+    outcomes = assert_stack_matches_run_fcm(d, seed_sets, FcmConfig())
+    assert isinstance(outcomes[1], CollapsedClusterError)
+    assert str(outcomes[1]) == "cluster 1 has zero membership mass"
+    assert all(isinstance(o, FcmResult) for o in (outcomes[0], outcomes[2]))
+
+
+def test_run_fcm_stacked_raises_faults_shared_by_every_seed_set(two_pairs):
+    with pytest.raises(EngineError, match="exceeds"):
+        run_fcm_stacked(two_pairs, [np.zeros((5, 2))] * 2)
+    with pytest.raises(EngineError, match="dimension"):
+        run_fcm_stacked(two_pairs, [np.zeros((2, 3))] * 2)
+    with pytest.raises(ValueError, match="seed arrays"):
+        run_fcm_stacked(two_pairs, [])

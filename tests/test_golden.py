@@ -83,8 +83,20 @@ def parity_corpus():
     return corpus
 
 
-def _fits(monkeypatch, engine, d, k, method, seed):
-    """fit_method on `engine`, with every FCM run it makes recorded."""
+def reference_stack(d, seed_sets, cfg=None):
+    """run_fcm_stacked's outcomes, one reference_run_fcm per seed set."""
+    outcomes = []
+    for seeds in seed_sets:
+        try:
+            outcomes.append(reference_run_fcm(d, seeds, cfg))
+        except EngineError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _fits(monkeypatch, engine, stack, d, k, method, seed):
+    """fit_method on `engine` and `stack`, with every FCM run it makes
+    recorded: each single fit and each relaunch of a stack."""
     runs = []
 
     def recording(d, seeds, cfg=None):
@@ -92,7 +104,13 @@ def _fits(monkeypatch, engine, d, k, method, seed):
         runs.append((result.iterations, result.fw))
         return result
 
+    def recording_stack(d, seed_sets, cfg=None):
+        outcomes = stack(d, seed_sets, cfg)
+        runs.extend((o.iterations, o.fw) for o in outcomes if not isinstance(o, EngineError))
+        return outcomes
+
     monkeypatch.setattr(seeding, "run_fcm", recording)
+    monkeypatch.setattr(seeding, "run_fcm_stacked", recording_stack)
     try:
         seeds, result = fit_method(d, k, method, cfg=FcmConfig(), seed=seed)
     except EngineError as exc:
@@ -101,12 +119,13 @@ def _fits(monkeypatch, engine, d, k, method, seed):
 
 
 def test_every_fit_matches_the_reference_engine(monkeypatch):
-    engine = seeding.run_fcm
+    engine, stack = seeding.run_fcm, seeding.run_fcm_stacked
     fits = 0
     for i, (d, k) in enumerate(parity_corpus()):
         for method in STRATEGIES:
-            got, got_runs = _fits(monkeypatch, engine, d, k, method, seed=1000 + i)
-            want, want_runs = _fits(monkeypatch, reference_run_fcm, d, k, method, seed=1000 + i)
+            got, got_runs = _fits(monkeypatch, engine, stack, d, k, method, seed=1000 + i)
+            want, want_runs = _fits(monkeypatch, reference_run_fcm, reference_stack, d, k, method,
+                                    seed=1000 + i)
             where = f"{d.name}/{method}"
             assert [it for it, _ in got_runs] == [it for it, _ in want_runs], where
             for (_, fw), (_, ref) in zip(got_runs, want_runs):

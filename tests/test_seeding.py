@@ -1,9 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fuzzseed import (
+    CollapsedClusterError,
     Dataset,
     EngineError,
     FcmConfig,
@@ -17,10 +19,12 @@ from fuzzseed import (
     seed_maxmin_quadratic,
     seed_repeated,
 )
-from fuzzseed.engine import _BLOCK_CELLS
+from fuzzseed import seeding
+from fuzzseed.engine import _BLOCK_CELLS, run_fcm_stacked
 from fuzzseed.rng import derive_seed
-from fuzzseed.seeding import STRATEGIES, _farthest, _spread
+from fuzzseed.seeding import STRATEGIES, SeedSet, _farthest, _spread
 
+from .conftest import assert_same_fit, traced_peak
 from .helpers import (
     reference_seed_kmeanspp,
     reference_seed_maxmin_linear,
@@ -169,6 +173,99 @@ def test_repeated_validates_inputs(line3):
         seed_repeated("macqueen2", line3, 2, r=0, seed=1)
     with pytest.raises(ValueError, match="stochastic"):
         seed_repeated("maxmin_linear", line3, 2, seed=1)
+
+
+def record_stacks(monkeypatch):
+    """The outcome lists of every stacked loop seed_repeated runs, each fit
+    copied before seed_repeated sets the winner's summed iterations."""
+    stacks = []
+
+    def recording(d, seed_sets, cfg=None):
+        outcomes = run_fcm_stacked(d, seed_sets, cfg)
+        stacks.append([o if isinstance(o, EngineError) else replace(o) for o in outcomes])
+        return outcomes
+
+    monkeypatch.setattr(seeding, "run_fcm_stacked", recording)
+    return stacks
+
+
+# Two unit squares: under master seed 3, macqueen2 relaunches 3 and 4 draw
+# different seed rows that reach the same minimum FW to the bit.
+TWO_SQUARES = Dataset(points=[[0, 0], [0, 1], [1, 0], [1, 1], [5, 5], [5, 6], [6, 5], [6, 6]])
+
+
+@pytest.mark.parametrize("per_stack, sizes", [(1, [1] * 10), (3, [3, 3, 3, 1]), (10, [10])])
+def test_repeated_stacks_match_single_runs(monkeypatch, per_stack, sizes):
+    d, k, r = TWO_SQUARES, 2, 10
+    monkeypatch.setattr(seeding, "_STACK_CELLS", per_stack * k * d.n)
+    stacks = record_stacks(monkeypatch)
+    seeds, res = seed_repeated("macqueen2", d, k, r=r, seed=3, cfg=FcmConfig())
+    assert [len(stack) for stack in stacks] == sizes
+    draws = [seed_macqueen2(d, k, seed=derive_seed(3, i)) for i in range(r)]
+    singles = [run_fcm(d, ss, FcmConfig()) for ss in draws]
+    for got, want in zip([o for stack in stacks for o in stack], singles, strict=True):
+        assert_same_fit(got, want)
+    fws = [single.fw for single in singles]
+    assert [i for i, fw in enumerate(fws) if fw == min(fws)] == [3, 4]
+    assert draws[3].source_indices != draws[4].source_indices
+    assert seeds.source_indices == draws[3].source_indices  # ties: the lowest index
+    singles[3].iterations = sum(single.iterations for single in singles)  # the reported cost
+    assert_same_fit(res, singles[3])
+    assert res.membership.flags.c_contiguous
+
+
+def test_repeated_drops_a_failed_relaunch_alone(monkeypatch, ruspini_like):
+    # relaunch 4 of master seed 5 gets a centroid so far from the data that
+    # its u^m underflows to 0: that cluster collapses
+    far = SeedSet(centroids=[*ruspini_like.points[:3], [1e100, 1e100]], method="macqueen2")
+
+    def seeder(d, k, seed=None):
+        return far if seed == derive_seed(5, 4) else seed_macqueen2(d, k, seed=seed)
+
+    monkeypatch.setitem(seeding.SEEDERS, "macqueen2", seeder)
+    stacks = record_stacks(monkeypatch)
+    seeds, res = seed_repeated("macqueen2", ruspini_like, 4, r=10, seed=5)
+    outcomes = [o for stack in stacks for o in stack]
+    assert isinstance(outcomes[4], CollapsedClusterError)
+    with pytest.raises(CollapsedClusterError) as single:
+        run_fcm(ruspini_like, far)
+    assert str(outcomes[4]) == str(single.value) == "cluster 3 has zero membership mass"
+    fits = outcomes[:4] + outcomes[5:]
+    assert res.iterations == sum(fit.iterations for fit in fits)
+    assert res.fw == min(fit.fw for fit in fits)
+
+    def failing(d, k, seed=None):
+        if seed == derive_seed(5, 3):
+            raise RuntimeError("seeder fault")
+        return seed_macqueen2(d, k, seed=seed)
+
+    monkeypatch.setitem(seeding.SEEDERS, "macqueen2", failing)
+    with pytest.raises(RuntimeError, match="seeder fault"):
+        seed_repeated("macqueen2", ruspini_like, 4, r=10, seed=5)
+
+
+def test_repeated_raises_the_last_failure_when_every_relaunch_fails(monkeypatch):
+    d = Dataset(points=np.random.default_rng(12).normal(size=(30, 2)) * 1e200)
+    monkeypatch.setattr(seeding, "_STACK_CELLS", 3 * 3 * d.n)
+    stacks = record_stacks(monkeypatch)
+    with pytest.raises(EngineError, match="non-finite FW") as raised:
+        seed_repeated("macqueen2", d, 3, r=10, seed=1)
+    assert [len(stack) for stack in stacks] == [3, 3, 3, 1]
+    assert all(isinstance(o, EngineError) for stack in stacks for o in stack)
+    assert raised.value is stacks[-1][-1]
+
+
+def test_repeated_over_the_stack_budget_holds_one_relaunch_at_a_time():
+    n, p, k, r = 20000, 2, 4, 10
+    assert k * n > seeding._STACK_CELLS  # one relaunch per stack
+    d = Dataset(points=np.random.default_rng(18).normal(size=(n, p)))
+    _, peak = traced_peak(seed_repeated, "macqueen2", d, k, r=r, seed=1,
+                          cfg=FcmConfig(max_iterations=3))
+    # one stack's centred (p, n) points and (k, n) distances, u and u^m; the
+    # best relaunch's memberships so far; one block of the distance kernel's
+    # scratch and numpy's iteration buffers. All r at once hold 3r (k, n) arrays.
+    cells = p * n + 4 * k * n + _BLOCK_CELLS + 3 * np.getbufsize()
+    assert peak <= 8 * cells + 65536
 
 
 def test_maxmin_quadratic_line(line3):

@@ -40,7 +40,11 @@ def test_grid_relaunch_named_metrics_are_all_traced(monkeypatch):
     values, missing = layers.named_metrics(run, "grid_relaunch")
     assert missing == []
     assert values["bench.errored_cells"]["value"] == 0
-    assert values["seeding.relaunch_runs"]["value"] == 2 * 2 * 10
+    # relaunches run stacked: one engine.run_fcm_stacked span per stack,
+    # no engine.run_fcm span; all 10 relaunches of a k=3, n=36 job fit in
+    # one stack of seeding._STACK_CELLS cells
+    assert values["seeding.relaunch_runs"]["value"] == 0
+    assert len(run.under("engine.run_fcm_stacked", "seeding.seed_repeated", 0)) == 2 * 2
 
 
 def test_cli_session_csv_metrics_are_all_traced(monkeypatch, tmp_path, capsys):
