@@ -14,14 +14,16 @@ The kernel works cluster-major: points as a C-ordered (p, n) array,
 distances, u and u^m as (r, k, n) arrays for r seed sets iterated
 together (run_fcm_stacked; run_fcm is its r = 1 case). Small distance
 arrays are computed in one broadcast pass; larger ones, and the
-memberships, are filled one cache-sized column block at a time. The loop
-centres the points on their grand mean once and keeps its centroids
-centred until it returns them, so FW, FB and FI are summed from
-differences of the data's own scale whatever its offset. The public
-single-step functions run the same kernel on the coordinates they are
-given.
+memberships, are filled one cache-sized column block at a time, all under
+quiet_overflow's small ufunc buffer, which spares short rows numpy's slow
+buffered path. The loop centres the points on their grand mean once and
+keeps its centroids centred until it returns them, so FW, FB and FI are
+summed from differences of the data's own scale whatever its offset. The
+public single-step functions run the same kernel on the coordinates they
+are given.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,10 +40,24 @@ class CollapsedClusterError(EngineError):
     """A cluster received zero total membership mass."""
 
 
-# For routines whose overflowing squared distances end in an EngineError:
-# numpy's warnings would only repeat it. numpy keeps this state per
-# context, so a decorated call made by a bench worker thread is covered.
-quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+_BUFSIZE = 512  # elements of numpy's ufunc buffer in the kernels; see quiet_overflow
+
+
+def quiet_overflow(fn):
+    """Run fn under a _BUFSIZE ufunc buffer and without overflow warnings,
+    which its EngineError would only repeat. At numpy's default of 8192, a
+    broadcast call on three operands at most 8192 // 3 columns wide (say
+    np.subtract.outer) is buffered at about 4x the cost per cell; the buffer
+    holds only copies, so no bit moves. The caller's (per-thread) state is restored."""
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        bufsize = np.setbufsize(_BUFSIZE)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fn(*args, **kwargs)
+        finally:  # errstate restores the bufsize only from numpy 2.0 on
+            np.setbufsize(bufsize)
+    return scoped
 
 
 def _overflow(what: str) -> EngineError:
@@ -152,25 +168,19 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # run from cache instead of from memory. A distance pass whose whole
 # (p, k, n) difference tensor fits it is made in one broadcast instead.
 _BLOCK_CELLS = 1 << 16
-# Narrower blocks run slower than the whole array: numpy then loops over
-# many short row segments (at k=25, n=1e5, p=16, 2621-column blocks took
-# 119 ms per distance pass against 81 ms unblocked, on a 2-core x86-64
-# with 2 MiB of L2 per core), so an array with more than
-# _BLOCK_CELLS // _MIN_BLOCK_COLUMNS = 16 rows stays whole.
-_MIN_BLOCK_COLUMNS = 4096
 
 
 def _column_blocks(rows: int, cols: int) -> list[slice]:
     """Column slices of a (rows, cols) array: blocks _BLOCK_CELLS // rows
-    columns wide, the last one narrower; or the whole array, when it fits
-    one block or such blocks would be narrower than _MIN_BLOCK_COLUMNS.
+    columns wide (at least 2), the last one narrower; or the whole array,
+    when it fits one block.
 
     numpy sums a single column over its rows pairwise, but a wider block
     row by row, as it sums the whole array; so a one-column remainder
     joins the first block, which is then the widest.
     """
-    width = _BLOCK_CELLS // max(rows, 1)
-    if cols <= width or width < _MIN_BLOCK_COLUMNS:
+    width = max(2, _BLOCK_CELLS // max(rows, 1))
+    if cols <= width:
         return [slice(0, cols)]
     bounds = [0, *range(width + (cols % width == 1), cols, width), cols]
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]

@@ -1,7 +1,12 @@
+import inspect
 import itertools
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzseed import (
     CollapsedClusterError,
@@ -12,12 +17,16 @@ from fuzzseed import (
     fuzzy_between,
     fuzzy_inertia,
     fuzzy_within,
+    run_comparison,
     run_fcm,
     run_fcm_stacked,
+    seed_kmeanspp,
+    seed_maxmin_linear,
+    seed_maxmin_quadratic,
     update_centroids,
     update_membership,
 )
-from fuzzseed import engine
+from fuzzseed import engine, seeding, validity
 from fuzzseed.engine import sq_dists
 
 from .conftest import assert_same_fit, traced_peak
@@ -312,7 +321,7 @@ def test_sq_dists_matches_per_feature_accumulation_bitwise():
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, expected)
     # outputs of several column blocks, with a partial or a one-column
-    # remainder (at k=25 the output stays one block)
+    # remainder
     for k in (1, 3, 10, 16, 25):
         width = engine._BLOCK_CELLS // k
         for p, n_b in [(1, 3 * width + 5), (4, 2 * width + 1), (2, 2 * width - 3)]:
@@ -326,6 +335,11 @@ def test_sq_dists_matches_per_feature_accumulation_bitwise():
             assert got.flags.c_contiguous
             assert np.array_equal(got, expected)
             assert np.array_equal(got, whole_array_sq_dists_t(a.T.copy(), b.T.copy()))
+    # more than _BLOCK_CELLS // 2 rows: blocks of two columns, or three
+    for k, n_b, widths in ((40000, 5, [3, 2]), (70000, 3, [3])):
+        a, b = rng.normal(size=(k, 2)), rng.normal(size=(n_b, 2))
+        assert [s.stop - s.start for s in engine._column_blocks(k, n_b)] == widths
+        assert np.array_equal(sq_dists(a, b), whole_array_sq_dists_t(a.T.copy(), b.T.copy()))
 
 
 def test_sq_dists_t_broadcast_pass_matches_whole_array_bitwise():
@@ -429,19 +443,19 @@ def test_run_fcm_one_distance_pass_per_cycle(monkeypatch):
     assert res.iterations == 7
 
 
-@pytest.mark.parametrize("n, p, k", [(20000, 4, 8), (30000, 3, 16)])
+@pytest.mark.parametrize("n, p, k", [(20000, 4, 8), (30000, 3, 16), (20000, 4, 25)])
 def test_run_fcm_scratch_memory_is_three_k_by_n_arrays(n, p, k):
     # Beyond the data: the centred (p, n) copy; the distances, u and u^m
     # (FW is summed from u^m times the distances in place); one block of
-    # the distance kernel's scratch; numpy's iteration buffers, bufsize
-    # cells for each of up to three operands; and 64 KiB for the
-    # centroids, cluster masses and per-block vectors.
+    # the distance kernel's scratch, also for k > 16; numpy's iteration
+    # buffers, the engine's bufsize cells for each of up to three operands;
+    # and 64 KiB for the centroids, cluster masses and per-block vectors.
     assert len(engine._column_blocks(k, n)) > 1
     rng = np.random.default_rng(7)
     d = Dataset(points=rng.normal(size=(n, p)) + rng.integers(0, 5, size=(n, 1)))
     result, peak = traced_peak(run_fcm, d, d.points[:: n // k][:k], FcmConfig(max_iterations=6))
     assert result.iterations == 6
-    cells = p * n + 3 * k * n + engine._BLOCK_CELLS + 3 * np.getbufsize()
+    cells = p * n + 3 * k * n + engine._BLOCK_CELLS + 3 * engine._BUFSIZE
     assert peak <= 8 * cells + 65536
 
 
@@ -538,3 +552,138 @@ def test_run_fcm_stacked_raises_faults_shared_by_every_seed_set(two_pairs):
         run_fcm_stacked(two_pairs, [np.zeros((2, 3))] * 2)
     with pytest.raises(ValueError, match="seed arrays"):
         run_fcm_stacked(two_pairs, [])
+
+
+# Column counts on both sides of the width below which numpy buffers a
+# three-operand broadcast call: 8192 // 3 at numpy's default bufsize, and
+# engine._BUFSIZE // 3 at the engine's.
+BUFFER_CLIFF_COLUMNS = sorted({w + dw for w in (8192 // 3, engine._BUFSIZE // 3)
+                               for dw in (-2, -1, 0, 1, 2)})
+
+
+def kernel_outputs(d, seed_sets, cfg, seed):
+    """What the engine's scoped kernels give on one instance."""
+    k = len(seed_sets[0])
+    outcomes = run_fcm_stacked(d, seed_sets, cfg)
+    return (
+        [o if isinstance(o, FcmResult) else (type(o), str(o)) for o in outcomes],
+        engine.quiet_overflow(sq_dists)(seed_sets[0], d.points),
+        update_membership(d.points, seed_sets[0], cfg.m),
+        seed_kmeanspp(d, k, seed=seed),
+        seed_maxmin_linear(d, k),
+    )
+
+
+@pytest.mark.parametrize("n", [6, 40, *BUFFER_CLIFF_COLUMNS, 9000])
+@settings(max_examples=4, deadline=None)
+@given(
+    p=st.integers(1, 6),
+    k=st.integers(2, 6),
+    r=st.integers(1, 3),
+    m=st.sampled_from([1.5, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_match_at_the_default_ufunc_buffer_bitwise(n, p, k, r, m, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-2, 2) + rng.choice([0.0, 1e6])
+    points[rng.integers(n, size=n // 4)] = points[rng.integers(n, size=n // 4)]  # duplicates
+    d = Dataset(points=points, name="buffers")
+    seed_sets = draw_seed_sets(rng, points, k, r, coincident=0.3)
+    cfg = FcmConfig(m=m, epsilon=1e-6, max_iterations=8)
+    own = kernel_outputs(d, seed_sets, cfg, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_BUFSIZE", 8192)
+        default = kernel_outputs(d, seed_sets, cfg, seed)
+    for got, want in zip(own[0], default[0]):
+        if isinstance(want, FcmResult):
+            assert_same_fit(got, want)
+        else:
+            assert got == want
+    for got, want in zip(own[1:3], default[1:3]):
+        assert np.array_equal(got, want)
+    for got, want in zip(own[3:], default[3:]):
+        assert got.to_dict() == want.to_dict()
+
+
+# Every function that runs under engine.quiet_overflow, with a call that
+# returns and one that raises EngineError on data near 1e200.
+_NEAR = np.random.default_rng(3).normal(size=(40, 2))
+_FAR = Dataset(points=_NEAR * 1e200, name="far")
+SCOPED_CALLS = [
+    ("run_fcm_stacked", lambda d: engine.run_fcm_stacked(d, [d.points[:3], d.points[5:8]])[0],
+     lambda: engine.run_fcm(_FAR, _FAR.points[:3])),
+    ("update_membership", lambda d: update_membership(d.points, d.points[:3], 2.0),
+     lambda: update_membership(_NEAR, [[1e200, 0.0], [0.0, 0.0]], 2.0)),
+    ("seed_kmeanspp", lambda d: seed_kmeanspp(d, 3, seed=1), lambda: seed_kmeanspp(_FAR, 3, seed=1)),
+    ("seed_maxmin_linear", lambda d: seed_maxmin_linear(d, 3), None),
+    ("seed_maxmin_quadratic", lambda d: seed_maxmin_quadratic(d, 3), None),
+    ("v_xb", lambda d: validity.v_xb(1.0, d.n, d.points[:3]),
+     lambda: validity.v_xb(1.0, 40, [[1e200, 0.0], [0.0, 0.0]])),
+]
+
+
+def record_kernel_bufsize(monkeypatch):
+    """The bufsize each distance pass runs at, appended as it runs."""
+    seen = []
+    kernel = engine._sq_dists_t
+
+    def recording(a_t, b_t):
+        seen.append(np.getbufsize())
+        return kernel(a_t, b_t)
+
+    monkeypatch.setattr(engine, "_sq_dists_t", recording)
+    monkeypatch.setattr(seeding, "_sq_dists_t", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name, returns, raises", SCOPED_CALLS, ids=[c[0] for c in SCOPED_CALLS])
+def test_scoped_kernels_restore_the_callers_numpy_state(monkeypatch, name, returns, raises):
+    seen = record_kernel_bufsize(monkeypatch)
+    caller = np.setbufsize(4096)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="warn", under="ignore"):
+            state = np.getbufsize(), np.geterr()
+            returns(Dataset(points=_NEAR, name="near"))
+            assert (np.getbufsize(), np.geterr()) == state
+            if raises is not None:
+                with pytest.raises(EngineError, match="non-finite"):
+                    raises()
+                assert (np.getbufsize(), np.geterr()) == state
+    finally:
+        np.setbufsize(caller)
+    assert seen and set(seen) == {engine._BUFSIZE}
+
+
+def test_scoped_kernels_restore_a_bench_workers_numpy_state(monkeypatch):
+    seen = record_kernel_bufsize(monkeypatch)
+    states = []  # (thread, state before, state after) of each scoped call
+
+    def checked(fn):
+        def call(*args, **kwargs):
+            before = np.getbufsize(), np.geterr()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                states.append((threading.current_thread(), before, (np.getbufsize(), np.geterr())))
+        return call
+
+    monkeypatch.setattr(engine, "run_fcm_stacked", checked(engine.run_fcm_stacked))
+    monkeypatch.setattr(seeding, "run_fcm_stacked", checked(seeding.run_fcm_stacked))
+    monkeypatch.setattr(validity, "v_xb", checked(validity.v_xb))
+    for method in ("kmeanspp", "maxmin_linear"):
+        monkeypatch.setitem(seeding.SEEDERS, method, checked(seeding.SEEDERS[method]))
+    jobs = [(Dataset(points=_NEAR, name="near"), 3), (_FAR, 3)]
+    report = run_comparison(jobs, methods=["kmeanspp", "maxmin_linear", "kmeanspp_x10"],
+                            n_jobs=2)
+    assert any(cell["error"] for cell in report.cells["far"].values())
+    assert states and all(thread is not threading.main_thread() for thread, _, _ in states)
+    assert all(before == after for _, before, after in states)
+    assert set(seen) == {engine._BUFSIZE}
+
+
+def test_setbufsize_is_called_only_inside_quiet_overflow():
+    scope = inspect.getsource(engine.quiet_overflow).count("setbufsize")
+    calls = {path.name: path.read_text().count("setbufsize")
+             for path in Path(engine.__file__).parent.glob("*.py")}
+    assert scope == 2
+    assert {name: count for name, count in calls.items() if count} == {"engine.py": scope}

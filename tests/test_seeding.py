@@ -20,7 +20,7 @@ from fuzzseed import (
     seed_repeated,
 )
 from fuzzseed import seeding
-from fuzzseed.engine import _BLOCK_CELLS, run_fcm_stacked
+from fuzzseed.engine import _BLOCK_CELLS, _BUFSIZE, run_fcm_stacked
 from fuzzseed.rng import derive_seed
 from fuzzseed.seeding import STRATEGIES, SeedSet, _farthest, _spread
 
@@ -263,8 +263,9 @@ def test_repeated_over_the_stack_budget_holds_one_relaunch_at_a_time():
                           cfg=FcmConfig(max_iterations=3))
     # one stack's centred (p, n) points and (k, n) distances, u and u^m; the
     # best relaunch's memberships so far; one block of the distance kernel's
-    # scratch and numpy's iteration buffers. All r at once hold 3r (k, n) arrays.
-    cells = p * n + 4 * k * n + _BLOCK_CELLS + 3 * np.getbufsize()
+    # scratch and numpy's iteration buffers, at the engine's bufsize. All r
+    # at once hold 3r (k, n) arrays.
+    cells = p * n + 4 * k * n + _BLOCK_CELLS + 3 * _BUFSIZE
     assert peak <= 8 * cells + 65536
 
 
