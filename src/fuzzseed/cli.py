@@ -205,7 +205,6 @@ def cmd_validate(args) -> int:
         else:
             u = update_membership(ds.points, centroids, m)
         out = score_partition(ds.n, centroids, u, fw, fb, fi).to_dict()
-    # float() of an integer beyond float64 is an OverflowError
     except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise DataError(f"cannot read result {args.result}: {exc}") from exc
     if not args.membership:

@@ -36,8 +36,9 @@ def read_json(path, what: str):
 
 def check_types(values, integers, reals) -> None:
     """Raise ValueError naming the first key of `integers` and `reals` in the mapping
-    `values` whose value is not a JSON integer or number (a bool is neither); an
-    absent key is not checked, and rng_seed may be None (a fresh seed)."""
+    `values` whose value is not a JSON integer or number (a bool is neither), or is
+    a number float64 cannot hold; an absent key is not checked, and rng_seed may be
+    None (a fresh seed)."""
     for name in (name for name in (*integers, *reals) if name in values):
         value = values[name]
         kind = numbers.Integral if name in integers else numbers.Real
@@ -46,6 +47,12 @@ def check_types(values, integers, reals) -> None:
         ):
             what = "an integer" if kind is numbers.Integral else "a number"
             raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
+        if kind is numbers.Real:
+            try:
+                float(value)
+            except OverflowError:  # an integer beyond float64; compared as is, it passes as finite
+                raise ValueError(f"{name} must be finite, got an integer too large for "
+                                 f"float64") from None
 
 
 @dataclass(frozen=True)

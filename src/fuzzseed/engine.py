@@ -88,12 +88,6 @@ class FcmConfig:
 
     def __post_init__(self):
         check_types(vars(self), ("max_iterations",), ("m", "epsilon"))
-        for name in ("m", "epsilon"):
-            try:
-                float(getattr(self, name))
-            except OverflowError:  # an integer beyond float64; compared as is, it passes as finite
-                raise ValueError(f"{name} must be finite, got an integer too large for "
-                                 f"float64") from None
         if not 1.0 < self.m < np.inf:
             raise ValueError(f"fuzziness m must be finite and exceed 1, got {self.m}")
         if not 0.0 < self.epsilon < np.inf:
@@ -351,9 +345,13 @@ def run_fcm_stacked(d: Dataset, seed_sets, cfg: FcmConfig | None = None) -> list
     other than p, identical points) is raised instead.
 
     The loop holds (r, k, n) distances, u and u^m, and makes one sq_dists
-    call per cycle over all r*k centroids. A relaunch that converges,
-    reaches the iteration cap, collapses or goes non-finite leaves the
-    stack and the others go on. Each membership is an (n, k) view of the
+    call per cycle over all r*k centroids. Each relaunch's exit is decided
+    in one pass per cycle, once its FW is summed: one that collapses
+    (carrying NaN centroids through that distance pass), goes non-finite,
+    converges or reaches the iteration cap leaves the stack and the others
+    go on. u^m is released before the stack is compacted, so a stack peaks
+    at three (r, k, n) arrays plus the copies of the memberships of
+    relaunches that left early. Each membership is an (n, k) view of the
     loop's arrays: copy the one you keep. The caller bounds r*k*n.
     """
     cfg = cfg or FcmConfig()
@@ -391,20 +389,18 @@ def run_fcm_stacked(d: Dataset, seed_sets, cfg: FcmConfig | None = None) -> list
         u = _fuzzify(d2, m)
         um = u**m
         mass = um.sum(axis=2)
-        if not mass.all():
-            full = mass.all(axis=1)
-            for pos in np.flatnonzero(~full):
-                outcomes[live[pos]] = _collapsed(mass[pos])
-            live = [i for i, ok in zip(live, full) if ok]
-            if not live:
-                break
-            u, um, mass = u[full], um[full], mass[full]
+        # A collapsed slice's centroids are 0/0 = NaN; it is dropped below.
         centroids = _centroids(points_t, um, mass)
         d2 = sq_dists(centroids.reshape(-1, p), points_t.T).reshape(u.shape)
         um *= d2  # the products u^m d2, summed into FW in place of a fourth array
+        fws = um.reshape(len(live), -1).sum(axis=1).tolist()
+        del um
         stay, leave = [], []
-        for pos, fw in enumerate(um.reshape(len(live), -1).sum(axis=1).tolist()):
+        for pos, (fw, full) in enumerate(zip(fws, mass.all(axis=1).tolist())):
             i, trace = live[pos], traces[live[pos]]
+            if not full:
+                outcomes[i] = _collapsed(mass[pos])
+                continue
             if not math.isfinite(fw):  # a non-finite centroid, of mass > 0, makes FW non-finite
                 outcomes[i] = _overflow("FW")
                 continue
@@ -414,17 +410,18 @@ def run_fcm_stacked(d: Dataset, seed_sets, cfg: FcmConfig | None = None) -> list
                 prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon
             )
             (leave if converged or cycle + 1 == cfg.max_iterations else stay).append(pos)
-        if not stay:  # the last cycle: the final memberships are slices of u itself
-            ended += [(live[pos], u[pos], mass[pos], centroids[pos]) for pos in leave]
+        # on the last cycle the final memberships are slices of u itself
+        ended += [(live[pos], u[pos].copy() if stay else u[pos], mass[pos], centroids[pos])
+                  for pos in leave]
+        if not stay:
             break
         if len(stay) < len(live):
-            ended += [(live[pos], u[pos].copy(), mass[pos], centroids[pos]) for pos in leave]
             live = [live[pos] for pos in stay]
             d2 = d2[stay]
 
     # Some u_ik >= 1/k in every row, so only underflow zeroes a u^m row.
     # u^m is taken again, to the same bits, once the loop's arrays are gone.
-    del d2, um
+    del d2
     for i, u, mass, centroids in ended:
         trace = traces[i]
         try:

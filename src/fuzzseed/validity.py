@@ -123,21 +123,13 @@ def v_tsfd(fb: float, fi: float) -> float:
     """Between share of the total scatter, FB/FI; in [0, 1], maximize.
 
     Equals the affine rescaling (1 + (FB - FW)/FI) / 2 of the standardized
-    difference when FI = FB + FW; both forms are computed and cross-checked
-    to 1e-12.
+    difference when FI = FB + FW, which is FB/FI rewritten.
     """
     if fi <= 0.0:
         raise ValueError(f"fuzzy inertia must be positive, got {fi}")
     if fb < -1e-9 * fi or fb > fi * (1.0 + 1e-9):
         raise ValueError(f"need 0 <= fb <= fi, got fb={fb}, fi={fi}")
-    direct = fb / fi
-    fw = fi - fb
-    transformed = (1.0 + (fb - fw) / fi) / 2.0
-    if abs(direct - transformed) > 1e-12:
-        raise ArithmeticError(
-            f"dual forms disagree: {direct} vs {transformed}"
-        )
-    return min(max(direct, 0.0), 1.0)
+    return min(max(fb / fi, 0.0), 1.0)
 
 
 def score_partition(n: int, centroids: np.ndarray, u: np.ndarray,

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from fuzzseed import FcmResult, cli, write_csv
 from fuzzseed.cli import main
-from fuzzseed.data import _CHUNK_ROWS
 from fuzzseed.engine import sq_dists
 from fuzzseed.seeding import STRATEGIES
 from fuzzseed.synth import dataset_from_spec
@@ -253,10 +252,13 @@ def test_fit_unwritable_membership_prints_no_result(capsys, tmp_path, ruspini_cs
 
 def test_fit_membership_out_peak_memory_does_not_grow_with_n(tmp_path, monkeypatch, line5):
     # traced from the end of the fit on, so the peak is the writing of an
-    # (n, 4) membership CSV, which converts one chunk of rows at a time
+    # (n, 4) membership CSV, which converts one chunk of rows at a time;
+    # 64-row chunks and 64, 1250, 5000 rows keep the ratios of 1024-row
+    # chunks and 1024, 20000, 80000 rows
+    monkeypatch.setattr("fuzzseed.data._CHUNK_ROWS", 64)
     rng = np.random.default_rng(5)
     peaks = {}
-    for n in (_CHUNK_ROWS, 20000, 80000):
+    for n in (64, 1250, 5000):
         result = FcmResult(centroids=np.zeros((4, 1)), membership=rng.dirichlet(np.ones(4), n),
                            iterations=1, objective_trace=[2.0], fw=2.0, fb=1.0, fi=3.0)
 
@@ -274,7 +276,7 @@ def test_fit_membership_out_peak_memory_does_not_grow_with_n(tmp_path, monkeypat
             tracemalloc.stop()
         assert code == 0
         assert (tmp_path / "u.csv").read_text().count("\n") == n + 1
-    assert abs(peaks[80000] - peaks[20000]) <= peaks[_CHUNK_ROWS]
+    assert abs(peaks[5000] - peaks[1250]) <= peaks[64]
 
 
 def test_unreadable_csv_exits_2_and_bad_delimiter_exits_1(capsys, tmp_path, line5):
@@ -507,6 +509,8 @@ _JSON_DOCUMENTS = st.one_of(
 @given(document=_JSON_DOCUMENTS)
 @example(document=b"[]")
 @example(document=b"[" * 200000)
+@example(document=b'{"kind": "gaussian_clusters", "k": 2, "size": 3, "sigma": 1%s, "dims": 1}'
+         % (b"0" * 400))
 def test_any_json_document_exits_0_1_or_2(fitted_ruspini, document):
     data = fitted_ruspini[0]
     doc, report = data.with_name("doc.json"), data.with_name("rep")
@@ -582,6 +586,22 @@ def test_generate_rejects_wrong_field_type(capsys, tmp_path, field, value, messa
     assert (code, out) == (1, "")
     assert err == f"fuzzseed: error: {message}\n"
 
+
+# a 401-digit integer: a valid JSON number, but beyond float64's range
+@pytest.mark.parametrize("spec, name", [
+    ({"kind": "gaussian_clusters", "k": 3, "size": 5, "sigma": 10**400, "dims": 2}, "sigma"),
+    ({"kind": "skewed_noise", "spread_multiplier": 10**400,
+      "base": {"kind": "gaussian_clusters", "k": 3, "size": 5, "sigma": 0.3, "dims": 2}},
+     "spread_multiplier"),
+])
+def test_generate_rejects_a_number_beyond_float64(capsys, tmp_path, spec, name):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "generate", "--spec", str(path), "--out",
+                             str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err == f"fuzzseed: error: {name} must be finite, got an integer too large for float64\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_generate_rejects_a_non_string_name(capsys, tmp_path):
@@ -686,6 +706,8 @@ def test_bench_overflowing_dataset_is_errored_cell(capsys, tmp_path, huge_csv):
     ({"generator": {"dims": 2.5}}, "dims must be an integer, got float"),
     ({"generator": {"rng_seed": "z"}}, "rng_seed must be an integer, got str"),
     ({"expected_k": [2]}, "expected_k must be an integer, got list"),
+    ({"generator": {"sigma": 10**400}},
+     "sigma must be finite, got an integer too large for float64"),
 ])
 def test_bench_wrong_field_type_is_errored_job(capsys, tmp_path, entry, message):
     generator = {"kind": "gaussian_clusters", "k": 2, "size": 6, "sigma": 0.3, "dims": 2,
@@ -701,6 +723,7 @@ def test_bench_wrong_field_type_is_errored_job(capsys, tmp_path, entry, message)
     assert f"warning: bad/maxmin_linear: {message}" in err
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert all(cell["error"] is None for cell in report["cells"]["blob0"].values())
+    assert all(cell["error"] == message for cell in report["cells"]["bad"].values())
 
 
 

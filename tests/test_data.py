@@ -445,10 +445,12 @@ def test_write_csv_peak_memory_is_the_csv_modules(tmp_path):
 
 def test_write_csv_peak_memory_does_not_grow_with_n(tmp_path):
     # rows are converted one chunk at a time: a whole-table tolist() made
-    # the peak grow 4 times from 20000 to 80000 rows
+    # the peak grow 4 times from 1250 to 5000 rows (at 64-row chunks, the
+    # ratios of 1024-row chunks to 20000 and 80000 rows)
     rng = np.random.default_rng(5)
     peaks = {}
-    for n in (data._CHUNK_ROWS, 20000, 80000):
-        d = Dataset(points=rng.normal(size=(n, 8)), labels=rng.integers(0, 4, size=n))
-        peaks[n] = traced_peak(write_csv, d, tmp_path / "d.csv")[1]
-    assert abs(peaks[80000] - peaks[20000]) <= peaks[data._CHUNK_ROWS]
+    with mock.patch.object(data, "_CHUNK_ROWS", 64):
+        for n in (64, 1250, 5000):
+            d = Dataset(points=rng.normal(size=(n, 8)), labels=rng.integers(0, 4, size=n))
+            peaks[n] = traced_peak(write_csv, d, tmp_path / "d.csv")[1]
+    assert abs(peaks[5000] - peaks[1250]) <= peaks[64]

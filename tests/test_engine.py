@@ -543,6 +543,46 @@ def test_run_fcm_stacked_drops_a_collapsed_relaunch_alone():
     assert isinstance(outcomes[1], CollapsedClusterError)
     assert str(outcomes[1]) == "cluster 1 has zero membership mass"
     assert all(isinstance(o, FcmResult) for o in (outcomes[0], outcomes[2]))
+    # Points 0, 0 and 1, k = 3. From seeds 0, 1.00001, 3.3 the two
+    # centroids seeded above 0 move onto the point at 1 in cycle 1, but only
+    # the first lands on it to the bit; in cycle 2 that point is the first's alone
+    # and the last cluster has no mass. Seeds on the points (FW = 0)
+    # converge in that same cycle; seeds -1, 0.5, 2 go on.
+    d = Dataset(points=[[0.0], [0.0], [1.0]], name="pair_and_one")
+    late, on_points, going_on, far = (np.array(seeds)[:, None] for seeds in (
+        [0.0, 1.00001, 3.3], [0.0, 1.0, 1.0], [-1.0, 0.5, 2.0], [0.0, 1.0, 1e100]))
+    assert isinstance(run_fcm(d, late, FcmConfig(max_iterations=1)), FcmResult)
+    outcomes = assert_stack_matches_run_fcm(d, [late, on_points, going_on], FcmConfig())
+    assert str(outcomes[0]) == "cluster 2 has zero membership mass"
+    assert outcomes[1].iterations == 2 < outcomes[2].iterations
+    # every relaunch collapsing, in cycle 1 or 2
+    outcomes = assert_stack_matches_run_fcm(d, [far, late, far], FcmConfig())
+    assert [str(o) for o in outcomes] == ["cluster 2 has zero membership mass"] * 3
+
+
+@pytest.mark.parametrize("case", ["one_leaves_early", "one_collapses"])
+def test_run_fcm_stacked_scratch_memory_is_three_r_by_k_by_n_arrays(case):
+    # The bound of the r = 1 test above, for a stack of r relaunches: u^m
+    # is released before the stack is compacted, so a relaunch that leaves
+    # (with a copy of its memberships) or collapses never makes a fourth array.
+    n, p, k, r = 20000, 2, 4, 6
+    rng = np.random.default_rng(7)
+    centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0]])
+    d = Dataset(points=centers[rng.integers(0, k, size=n)] + rng.normal(size=(n, p)))
+    if case == "one_leaves_early":  # seeded on its own fixed point, it converges first
+        first = run_fcm(d, centers, FcmConfig(epsilon=1e-12)).centroids
+    else:  # the far centroid's u^m underflows to 0 in cycle 1
+        first = np.vstack([centers[:3], [1e100, 1e100]])
+    seed_sets = [first] + [d.points[rng.choice(n, size=k, replace=False)] for _ in range(r - 1)]
+    cfg = FcmConfig(epsilon=1e-6, max_iterations=8)
+    outcomes, peak = traced_peak(run_fcm_stacked, d, seed_sets, cfg)
+    if case == "one_leaves_early":
+        assert outcomes[0].iterations < 8
+    else:
+        assert isinstance(outcomes[0], CollapsedClusterError)
+    assert [o.iterations for o in outcomes[1:]] == [8] * (r - 1)
+    cells = p * n + 3 * r * k * n + engine._BLOCK_CELLS + 3 * engine._BUFSIZE
+    assert peak <= 8 * cells + 65536
 
 
 def test_run_fcm_stacked_raises_faults_shared_by_every_seed_set(two_pairs):
