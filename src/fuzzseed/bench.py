@@ -10,7 +10,6 @@ byte-identical across runs and parallelism settings.
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -223,6 +222,8 @@ def run_comparison(
         raise ValueError(f"dataset names must be unique as table names, got {slugs}")
 
     if n_jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so a serial run never loads it
+
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             results = list(
                 pool.map(lambda gm: _run_cell(gm[0], gm[1], cfg, master_seed), grid)

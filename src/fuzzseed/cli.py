@@ -169,7 +169,8 @@ def _load_membership(path, n, k):
     if not ok.all():
         row = int(np.argmin(ok))
         in_range = 0.0 <= u[row].min() and u[row].max() <= 1.0
-        with open(path, newline="") as fh:  # the data rows are the last n non-blank ones
+        # the data rows are the last n non-blank ones
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = [i + 1 for i, cells in enumerate(csv.reader(fh)) if cells]
         problem = (f"a sum of {float(sums[row])!r}" if in_range
                    else "a value outside [0, 1]")

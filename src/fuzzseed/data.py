@@ -153,37 +153,39 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
     integer class ids of magnitude below 2**63, read exactly as int64 (or,
     for a cell int() rejects, as a float such as 4.0 or 1e3); it is
     excluded from the feature matrix. Decimal point only; missing values
-    are rejected.
+    are rejected. A leading UTF-8 byte-order mark is dropped.
 
-    The data rows are read and converted _CHUNK_ROWS at a time: DataError
-    gives the 1-based file line / column of the first ragged row,
-    non-numeric cell or bad label. A file that cannot be opened, decoded
-    or parsed as CSV is a DataError too; a delimiter that is not one
-    character is a ValueError.
+    The csv module reads the header; the data lines are converted
+    _CHUNK_ROWS at a time by numpy's C text reader, which parses a number
+    as float() does. A chunk it does not take goes through the csv module
+    and _convert_chunk, as does every chunk under a whitespace delimiter
+    and, since a quoted cell may span lines, every chunk from the first
+    one holding a quote character on. DataError gives the 1-based record
+    (line) / column of the first ragged row, non-numeric cell or bad label.
+    A file that cannot be opened, decoded or parsed as CSV is a DataError
+    too; a delimiter that is not one character is a ValueError.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     try:
-        with open(path, newline="") as fh:
-            rows = ((i + 1, row) for i, row in enumerate(csv.reader(fh, delimiter=delimiter))
-                    if row)  # skip blank lines
-            points, labels = _read_table(path, rows, label_column)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            points, labels = _read_table(path, fh, label_column, delimiter)
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return Dataset(points=points, labels=labels, name=name)
 
 
-def _read_table(path, rows, label_column) -> tuple[np.ndarray, np.ndarray | None]:
-    """(points, labels) from an iterator of non-blank (line, cells) rows."""
-    first = next(rows, None)
+def _read_table(path, fh, label_column, delimiter) -> tuple[np.ndarray, np.ndarray | None]:
+    """(points, labels) from a CSV file opened with newline=""."""
+    records = enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+    line, first = next(((line, row) for line, row in records if row), (0, None))
     if first is None:
         raise DataError(f"{path}: file contains no data")
-    has_header = _floats(first[1]) is None
-    header = [cell.strip() for cell in first[1]] if has_header else None
-    data_rows = rows if has_header else itertools.chain([first], rows)
-    chunks = iter(lambda: list(itertools.islice(data_rows, _CHUNK_ROWS)), [])
-    head = next(chunks, None)
+    has_header = _floats(first) is None
+    header = [cell.strip() for cell in first] if has_header else None
+    chunks = _chunks(fh, line, delimiter)
+    head = next(chunks, None) if has_header else (None, [(line, first)])
     if head is None:
         raise DataError(f"{path}: no data rows after header")
 
@@ -191,9 +193,77 @@ def _read_table(path, rows, label_column) -> tuple[np.ndarray, np.ndarray | None
         raise DataError(f"{path}: label column {label_column!r} not found in header")
     label_idx = None if label_column is None else header.index(label_column)
 
-    points, labels = zip(*(_convert_chunk(path, chunk, len(first[1]), label_idx)
+    points, labels = zip(*(_convert(path, chunk, len(first), label_idx, delimiter)
                            for chunk in itertools.chain([head], chunks)))
     return np.concatenate(points), None if label_idx is None else np.concatenate(labels)
+
+
+def _chunks(fh, line, delimiter):
+    """The records of `fh` after record `line`, _CHUNK_ROWS lines at a time:
+    (number of the first, lines) while no line holds a quote character, so
+    that each line is one record (a chunk of blank lines is skipped); then,
+    and throughout under a whitespace delimiter, (None, rows) of csv.reader's
+    non-blank (line, cells) records."""
+    while not delimiter.isspace():
+        lines = list(itertools.islice(fh, _CHUNK_ROWS))
+        if not lines:
+            return
+        if '"' in "".join(lines):  # a quoted cell may span lines from here on
+            fh = itertools.chain(lines, fh)
+            break
+        if _blank(lines) < len(lines):
+            yield line + 1, lines
+        line += len(lines)
+    records = csv.reader(fh, delimiter=delimiter)
+    records = ((i, row) for i, row in enumerate(records, start=line + 1) if row)
+    for rows in iter(lambda: list(itertools.islice(records, _CHUNK_ROWS)), []):
+        yield None, rows
+
+
+def _blank(lines: list[str]) -> int:
+    """How many of the lines are blank: a line end alone, which the csv
+    module and numpy's reader both skip."""
+    return lines.count("\n") + lines.count("\r\n") + lines.count("\r")
+
+
+def _convert(path, chunk, width, label_idx, delimiter) -> tuple[np.ndarray, np.ndarray | None]:
+    """A chunk of _chunks as (points, labels): raw lines by _parse_lines, or
+    by _convert_chunk on their csv.reader rows if it does not take them;
+    csv.reader rows by _convert_chunk."""
+    first, body = chunk
+    if first is None:
+        return _convert_chunk(path, body, width, label_idx)
+    converted = _parse_lines(body, width, label_idx, delimiter)
+    if converted is not None:
+        return converted
+    rows = csv.reader(body, delimiter=delimiter)
+    return _convert_chunk(path, [(line, cells) for line, cells in enumerate(rows, start=first)
+                                 if cells], width, label_idx)
+
+
+def _parse_lines(lines, width, label_idx, delimiter):
+    """Lines of one record each as (points, labels) by numpy's C reader, or
+    None if _convert_chunk must read them: a cell the reader rejects (a
+    spelling only float() or int() reads, an empty cell, a ragged row), a
+    row count other than the non-blank lines', a non-finite value, the label
+    -2**63, or a line beyond the csv module's field limit."""
+    if max(map(len, lines)) > csv.field_size_limit():  # the csv module reads or rejects it
+        return None
+    if label_idx is None:
+        fields = [("before", "f8", (width,)), ("after", "f8", (0,))]
+    else:  # the label column between the feature columns before and after it
+        fields = [("before", "f8", (label_idx,)), ("label", "i8"),
+                  ("after", "f8", (width - label_idx - 1,))]
+    try:
+        table = np.loadtxt(lines, dtype=fields, delimiter=delimiter, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    points = np.concatenate((table["before"], table["after"]), axis=1)
+    labels = None if label_idx is None else table["label"].copy()  # a view would keep table
+    if (len(table) != len(lines) - _blank(lines) or not np.isfinite(points).all()
+            or (labels is not None and _first_bad_label(labels) is not None)):
+        return None
+    return points, labels
 
 
 def _convert_chunk(path, chunk, width, label_idx) -> tuple[np.ndarray, np.ndarray | None]:

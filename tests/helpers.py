@@ -244,7 +244,7 @@ def reference_load_csv(path, label_column=None, delimiter=","):
         return value if math.isfinite(value) else None
 
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

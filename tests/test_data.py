@@ -160,23 +160,32 @@ def test_load_csv_names_the_first_defect_of_a_row(tmp_path):
         load_csv(f, label_column="label")
 
 
-def test_load_csv_converts_a_valid_table_in_one_call(tmp_path, monkeypatch):
-    calls = []
-
-    def counting(cells):
-        calls.append(len(cells))
-        return floats(cells)
-
-    floats = data._floats
-    monkeypatch.setattr(data, "_floats", counting)
+def test_load_csv_converts_a_valid_table_in_one_call(tmp_path):
+    # numpy's C reader takes a valid chunk whole: the csv path never runs,
+    # and _floats reads only the first row, to tell a header
     rng = np.random.default_rng(5)
     rows = [f"{x!r},{y!r},{label}" for (x, y), label in
             zip(rng.normal(size=(500, 2)).tolist(), rng.integers(-3, 4, size=500).tolist())]
     f = tmp_path / "valid.csv"
     f.write_text("x,y,label\n" + "\n".join(rows) + "\n")
-    ds = load_csv(f, label_column="label")
+    with (mock.patch.object(data, "_floats", wraps=data._floats) as floats,
+          mock.patch.object(data, "_convert_chunk", wraps=data._convert_chunk) as convert,
+          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+        ds = load_csv(f, label_column="label")
     assert ds.n == 500
-    assert calls == [3, 1000]  # the header test, then the table's feature cells
+    assert [len(call.args[0]) for call in floats.call_args_list] == [3]
+    assert (loadtxt.call_count, convert.call_count) == (1, 0)
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF; read as a cell, it
+    # made a headerless first row a header and hid a first header name
+    f = tmp_path / "bom.csv"
+    f.write_text("\ufeff1.0,2\n3,4\n5,6\n", encoding="utf-8")
+    assert load_csv(f).points.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    f.write_text("\ufefflabel,x\n1,2.5\n0,3.5\n", encoding="utf-8")
+    ds = load_csv(f, label_column="label")
+    assert ds.labels.tolist() == [1, 0] and ds.points.tolist() == [[2.5], [3.5]]
 
 
 def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
@@ -206,6 +215,9 @@ def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
 def test_load_csv_unreadable_content_is_data_error(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("a,b\n1," + "1" * 200000 + "\n")  # beyond the csv module's field limit
+    with pytest.raises(DataError, match=r"cannot read .*bad\.csv: field larger than field limit"):
+        load_csv(f)
+    f.write_text("a,b\n1," + "0" * 200000 + "1\n")  # a number numpy's reader would take
     with pytest.raises(DataError, match=r"cannot read .*bad\.csv: field larger than field limit"):
         load_csv(f)
     f.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
@@ -243,40 +255,51 @@ ODD_CELLS = ["", " ", "abc", "inf", "-Infinity", "nan", "1e400", "1_0", "1__0", 
              "\u0661\u0662", " 3 ", "\xa05\xa0", "\x1c3", "0x10", "-0", "+.5"]
 LABEL_CELLS = ["0.5", "1e300", "-1e300", "1e19", str(2**63), str(-(2**63)), "4.0", " 7 ",
                "9223372036854774784", str(2**63 - 1), str(1 - 2**63), str(2**53 + 1), "1_0"]
+# Quoted cells, some holding a line end (a record over two lines) or a delimiter.
+QUOTED_CELLS = ['"1.5"', '" -2 "', '"\n3"', '"4\r\n"', '"5\r"', '"6,7"', '"8;9"', '""',
+                '"1"0', '"2"""']
 
 
 @st.composite
 def csv_text(draw):
+    """(CSV text, its delimiter)."""
     width = draw(st.integers(1, 4))
     label_col = draw(st.integers(0, width))  # width: no label column
+    delimiter = draw(st.sampled_from([",", ",", ",", ";", "\t", " "]))
     number = st.one_of(
         st.integers(-10, 10).map(str),
         st.builds(lambda x, fmt: fmt % x, st.floats(allow_nan=False, allow_infinity=False),
                   st.sampled_from(["%r", "%.17g", "%.5e", "%.25f"])),
     )
-    cell = st.one_of(number, number, number, st.sampled_from(ODD_CELLS))
-    label = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(LABEL_CELLS))
+    quoted = draw(st.booleans())  # a quote sends the rest of the file to the csv module
+    odd = st.sampled_from(ODD_CELLS + QUOTED_CELLS if quoted else ODD_CELLS)
+    # some tables hold numbers only, to load whole more often
+    cell = st.one_of(number, number, number, odd) if draw(st.integers(0, 2)) else number
+    label = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(LABEL_CELLS),
+                      st.sampled_from(['"2"', '"\n-1"'] if quoted else ["-0", "+2"]))
     lines = []
     if draw(st.booleans()):
         names = [f"x{j}" for j in range(width)]
         if label_col < width:
             names[label_col] = draw(st.sampled_from(["label", " label"]))
-        lines.append(",".join(names))
+        lines.append(delimiter.join(names))
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.integers(0, 15)) == 0:
-            lines.append("")
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))  # blank or whitespace
             continue
         w = width if draw(st.integers(0, 15)) else draw(st.integers(1, 5))
         row = [draw(cell) for _ in range(w)]
         if label_col < w and draw(st.integers(0, 3)):
             row[label_col] = draw(label)
-        lines.append(",".join(row))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+        lines.append(delimiter.join(row))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    bom = "\ufeff" if draw(st.integers(0, 7)) == 0 else ""  # Excel's "CSV UTF-8"
+    return bom + text + draw(st.sampled_from(["", "\n"])), delimiter
 
 
-def _outcome(load, path, label_column):
+def _outcome(load, path, label_column, delimiter=","):
     try:
-        ds = load(path, label_column=label_column)
+        ds = load(path, label_column=label_column, delimiter=delimiter)
     except DataError as exc:
         return "DataError", str(exc)
     labels = None if ds.labels is None else (ds.labels.dtype.str, ds.labels.tobytes())
@@ -284,26 +307,32 @@ def _outcome(load, path, label_column):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=csv_text())
-def test_load_csv_matches_cell_by_cell_reference(tmp_path_factory, text):
+@given(table=csv_text())
+@example(table=("x0,label\n\n\r\n\r", ","))  # a header, then blank lines only
+@example(table=("\ufeff1;2\r3;4\r", ";"))
+def test_load_csv_matches_cell_by_cell_reference(tmp_path_factory, table):
+    text, delimiter = table
     path = tmp_path_factory.getbasetemp() / "parity.csv"
     path.write_text(text, encoding="utf-8", newline="")
     for label_column in (None, "label"):
-        assert _outcome(load_csv, path, label_column) == _outcome(
-            reference_load_csv, path, label_column
+        assert _outcome(load_csv, path, label_column, delimiter) == _outcome(
+            reference_load_csv, path, label_column, delimiter
         )
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=csv_text(), chunk_rows=st.integers(1, 3))
-def test_load_csv_matches_the_reference_across_chunk_boundaries(tmp_path_factory, text,
+@given(table=csv_text(), chunk_rows=st.integers(1, 3))
+# a quoted label over two lines, which a chunk of one line would cut
+@example(table=('x,label\n1,"\n2"\n3,4\n', ","), chunk_rows=1)
+def test_load_csv_matches_the_reference_across_chunk_boundaries(tmp_path_factory, table,
                                                                chunk_rows):
+    text, delimiter = table
     path = tmp_path_factory.getbasetemp() / "chunks.csv"
     path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
         for label_column in (None, "label"):
-            assert _outcome(load_csv, path, label_column) == _outcome(
-                reference_load_csv, path, label_column
+            assert _outcome(load_csv, path, label_column, delimiter) == _outcome(
+                reference_load_csv, path, label_column, delimiter
             )
 
 

@@ -38,3 +38,20 @@ def test_import_and_generate_load_no_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe, SRC, *map(str, specs)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_import_and_seed_load_no_thread_pool(tmp_path):
+    # concurrent.futures brings logging and queue into every CLI process;
+    # only run_comparison with n_jobs > 1 needs it
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("x,y\n0,0\n0,1\n5,5\n5,6\n")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fuzzseed; "
+        "from fuzzseed.cli import main; loaded = ['concurrent.futures' in sys.modules]\n"
+        "assert main(['seed', '--data', sys.argv[2], '--k', '2', '--method', 'maxmin_linear']) == 0\n"
+        "loaded.append('concurrent.futures' in sys.modules)\n"
+        "print(loaded)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, SRC, str(csv_path)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[False, False]"
