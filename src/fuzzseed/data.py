@@ -158,12 +158,12 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
     The csv module reads the header; the data lines are converted
     _CHUNK_ROWS at a time by numpy's C text reader, which parses a number
     as float() does. A chunk it does not take goes through the csv module
-    and _convert_chunk, as does every chunk under a whitespace delimiter
-    and, since a quoted cell may span lines, every chunk from the first
-    one holding a quote character on. DataError gives the 1-based record
-    (line) / column of the first ragged row, non-numeric cell or bad label.
-    A file that cannot be opened, decoded or parsed as CSV is a DataError
-    too; a delimiter that is not one character is a ValueError.
+    and _convert_chunk, as does, since a quoted cell may span lines, every
+    chunk from the first one holding a quote character on. DataError gives
+    the 1-based record (line) / column of the first ragged row, non-numeric
+    cell or bad label. A file that cannot be opened, decoded or parsed as
+    CSV is a DataError too; a delimiter that is not one character is a
+    ValueError.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
@@ -201,13 +201,9 @@ def _read_table(path, fh, label_column, delimiter) -> tuple[np.ndarray, np.ndarr
 def _chunks(fh, line, delimiter):
     """The records of `fh` after record `line`, _CHUNK_ROWS lines at a time:
     (number of the first, lines) while no line holds a quote character, so
-    that each line is one record (a chunk of blank lines is skipped); then,
-    and throughout under a whitespace delimiter, (None, rows) of csv.reader's
-    non-blank (line, cells) records."""
-    while not delimiter.isspace():
-        lines = list(itertools.islice(fh, _CHUNK_ROWS))
-        if not lines:
-            return
+    that each line is one record (a chunk of blank lines is skipped); then
+    (None, rows) of csv.reader's non-blank (line, cells) records."""
+    while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
         if '"' in "".join(lines):  # a quoted cell may span lines from here on
             fh = itertools.chain(lines, fh)
             break
@@ -244,26 +240,26 @@ def _convert(path, chunk, width, label_idx, delimiter) -> tuple[np.ndarray, np.n
 def _parse_lines(lines, width, label_idx, delimiter):
     """Lines of one record each as (points, labels) by numpy's C reader, or
     None if _convert_chunk must read them: a cell the reader rejects (a
-    spelling only float() or int() reads, an empty cell, a ragged row), a
-    row count other than the non-blank lines', a non-finite value, the label
-    -2**63, or a line beyond the csv module's field limit."""
+    spelling only float() reads, an empty cell, a ragged row), a width other
+    than the header's, a non-finite value, a label that is not an integer of
+    magnitude below 2**53, or a line beyond the csv module's field limit."""
     if max(map(len, lines)) > csv.field_size_limit():  # the csv module reads or rejects it
         return None
-    if label_idx is None:
-        fields = [("before", "f8", (width,)), ("after", "f8", (0,))]
-    else:  # the label column between the feature columns before and after it
-        fields = [("before", "f8", (label_idx,)), ("label", "i8"),
-                  ("after", "f8", (width - label_idx - 1,))]
     try:
-        table = np.loadtxt(lines, dtype=fields, delimiter=delimiter, comments=None, ndmin=1)
+        # every column as float64: numpy releases that only deprecate a float
+        # in an integer field read a 0.5 label there as 0
+        table = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError:
         return None
-    points = np.concatenate((table["before"], table["after"]), axis=1)
-    labels = None if label_idx is None else table["label"].copy()  # a view would keep table
-    if (len(table) != len(lines) - _blank(lines) or not np.isfinite(points).all()
-            or (labels is not None and _first_bad_label(labels) is not None)):
+    if table.shape[1] != width or not np.isfinite(table).all():
         return None
-    return points, labels
+    if label_idx is None:
+        return table, None
+    labels = table[:, label_idx]
+    # below 2**53 a float holds an integer exactly, so it is the id int() reads
+    if not ((np.abs(labels) < 2**53).all() and (labels == np.trunc(labels)).all()):
+        return None
+    return np.delete(table, label_idx, axis=1), labels.astype(np.int64)
 
 
 def _convert_chunk(path, chunk, width, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
