@@ -199,8 +199,8 @@ def run_comparison(
     """Run every (dataset, method) cell and collect criterion values.
 
     `jobs` (BenchJob or (Dataset, expected_k) pairs) and `methods` must be non-empty,
-    n_jobs an integer >= 1. Cells are independent and may run in parallel; assembly
-    order (and therefore serialized output) is fixed by the input order regardless of n_jobs.
+    n_jobs an integer >= 1. Cells run serially, whatever n_jobs, in the input order,
+    which fixes the assembly order and therefore the serialized output.
     """
     cfg = cfg or FcmConfig()
     jobs = [
@@ -221,19 +221,9 @@ def run_comparison(
     if len(set(slugs)) != len(slugs):
         raise ValueError(f"dataset names must be unique as table names, got {slugs}")
 
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here, so a serial run never loads it
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(
-                pool.map(lambda gm: _run_cell(gm[0], gm[1], cfg, master_seed), grid)
-            )
-    else:
-        results = [_run_cell(job, method, cfg, master_seed) for job, method in grid]
-
     cells: dict = {}
-    for (job, method), cell in zip(grid, results):
-        cells.setdefault(job.name, {})[method] = cell
+    for job, method in grid:
+        cells.setdefault(job.name, {})[method] = _run_cell(job, method, cfg, master_seed)
 
     meta = {
         "master_seed": int(master_seed),

@@ -8,6 +8,7 @@ separate point class.
 import csv
 import itertools
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -113,14 +114,14 @@ class Dataset:
         return self.points.shape[1]
 
 
-def _floats(cells) -> np.ndarray | None:
-    """The cells as finite floats, or None if any is not one. numpy reads
-    each string as float() does (underscores, Unicode digits, padding)."""
+def _floats(cells) -> list[float] | None:
+    """The cells as finite floats, or None if any is not one, each read by
+    float() (underscores, Unicode digits, padding)."""
     try:
-        values = np.array(cells, dtype=float)
+        values = [float(cell) for cell in cells]
     except ValueError:
         return None
-    return values if np.isfinite(values).all() else None
+    return values if all(map(math.isfinite, values)) else None
 
 
 @np.errstate(invalid="ignore")  # Python comparing a nan sets the invalid flag
@@ -157,16 +158,21 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
 
     The csv module reads the header; the data lines are converted
     _CHUNK_ROWS at a time by numpy's C text reader, which parses a number
-    as float() does. A chunk it does not take goes through the csv module
-    and _convert_chunk, as does, since a quoted cell may span lines, every
-    chunk from the first one holding a quote character on. DataError gives
-    the 1-based record (line) / column of the first ragged row, non-numeric
+    as float() does. Since a quoted cell may span lines, every chunk from
+    the first one holding a quote character on is read by the csv module
+    first, and its rows' stripped cells, rejoined one line per record, go to
+    the same reader. A chunk the reader does not take is walked by
+    _convert_chunk, which converts it or raises a DataError giving the
+    1-based record (line) / column of the first ragged row, non-numeric
     cell or bad label. A file that cannot be opened, decoded or parsed as
-    CSV is a DataError too; a delimiter that is not one character is a
-    ValueError.
+    CSV is a DataError too; a delimiter that is not one character, or is a
+    line end, is a ValueError.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+    if delimiter in "\r\n":  # numpy's reader raises TypeError on one
+        raise ValueError(f"delimiter must be one character other than a line end, "
+                         f"got {delimiter!r}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             points, labels = _read_table(path, fh, label_column, delimiter)
@@ -223,18 +229,27 @@ def _blank(lines: list[str]) -> int:
 
 
 def _convert(path, chunk, width, label_idx, delimiter) -> tuple[np.ndarray, np.ndarray | None]:
-    """A chunk of _chunks as (points, labels): raw lines by _parse_lines, or
-    by _convert_chunk on their csv.reader rows if it does not take them;
-    csv.reader rows by _convert_chunk."""
+    """A chunk of _chunks as (points, labels) by _parse_lines: raw lines as
+    they are, csv.reader rows as their stripped cells joined by the
+    delimiter. Rows are taken only when each has the header row's width,
+    none joins to a blank line (an empty cell, which numpy skips) and the
+    reader returns one row per record, since a cell may hold a line end.
+    Otherwise _convert_chunk walks the rows."""
     first, body = chunk
     if first is None:
-        return _convert_chunk(path, body, width, label_idx)
-    converted = _parse_lines(body, width, label_idx, delimiter)
-    if converted is not None:
-        return converted
-    rows = csv.reader(body, delimiter=delimiter)
-    return _convert_chunk(path, [(line, cells) for line, cells in enumerate(rows, start=first)
-                                 if cells], width, label_idx)
+        rows = body
+        lines = [delimiter.join(map(str.strip, cells)) for _, cells in rows]
+        if all(len(cells) == width for _, cells in rows) and all(lines):
+            converted = _parse_lines(lines, width, label_idx, delimiter)
+            if converted is not None and len(converted[0]) == len(rows):
+                return converted
+    else:
+        converted = _parse_lines(body, width, label_idx, delimiter)
+        if converted is not None:
+            return converted
+        rows = [(line, cells) for line, cells in
+                enumerate(csv.reader(body, delimiter=delimiter), start=first) if cells]
+    return _convert_chunk(path, rows, width, label_idx)
 
 
 def _parse_lines(lines, width, label_idx, delimiter):
@@ -263,20 +278,12 @@ def _parse_lines(lines, width, label_idx, delimiter):
 
 
 def _convert_chunk(path, chunk, width, label_idx) -> tuple[np.ndarray, np.ndarray | None]:
-    """A chunk of (line, cells) rows as (points, labels), labels None without a
-    label column, by one _floats and one _labels call when every row has the
-    header row's width. Otherwise, or if either fails, the rows are walked once
-    in file order (width, then each cell) to raise the first defect's DataError."""
-    if all(len(row) == width for _, row in chunk):
-        # strip also drops \x1c-\x1f; float() does not
-        cells = [cell.strip() for _, row in chunk for cell in row]
-        labels = None
-        if label_idx is not None:
-            labels = _labels(cells[label_idx::width])
-            del cells[label_idx::width]  # the feature cells remain
-        points = _floats(cells)
-        if points is not None and (label_idx is None or labels is not None):
-            return points.reshape(len(chunk), len(cells) // len(chunk)), labels
+    """A chunk of (line, cells) rows that numpy's reader did not take, as
+    (points, labels), labels None without a label column. One walk in file
+    order (width, then each cell) converts what only Python reads, such as
+    1_0 or a label of magnitude 2**53 or more, and raises the first
+    defect's DataError."""
+    points, labels = [], []
     for line, row in chunk:
         if len(row) != width:
             raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
@@ -285,9 +292,14 @@ def _convert_chunk(path, chunk, width, label_idx) -> tuple[np.ndarray, np.ndarra
             value = _label(cell) if col - 1 == label_idx else _floats([cell])
             if value is None:
                 raise DataError(f"{path}: non-numeric cell {cell!r} at line {line}, column {col}")
-            if col - 1 == label_idx and (bad := _first_bad_label(np.array([value], dtype=object))):
+            if col - 1 != label_idx:
+                points += value
+            elif bad := _first_bad_label(np.array([value], dtype=object)):
                 raise DataError(f"{path}: {bad[1]} label {cell!r} at line {line}")
-    raise AssertionError(f"{path}: a chunk failed to convert, but no row has a defect")
+            else:
+                labels.append(int(value))
+    points = np.array(points, dtype=float).reshape(len(chunk), width - (label_idx is not None))
+    return points, None if label_idx is None else np.array(labels, dtype=np.int64)
 
 
 def _label(cell: str) -> int | float | None:
@@ -297,22 +309,7 @@ def _label(cell: str) -> int | float | None:
         return int(cell)
     except ValueError:
         value = _floats([cell])
-        return None if value is None else value.item()
-
-
-def _labels(cells: list[str]) -> np.ndarray | None:
-    """Stripped label cells as int64 ids, or None if any is not one. numpy
-    reads each as int() does; if one fails, _floats reads them all (exact
-    below 2**53) and _label reads again each one of larger magnitude."""
-    try:
-        values = np.array(cells, dtype=np.int64)
-    except (ValueError, OverflowError):
-        values = _floats(cells)  # a cell it rejects is no int64 id either
-        if values is None:
-            return None
-        values = np.array([v if abs(v) < 2**53 else _label(cell)
-                           for cell, v in zip(cells, values.tolist())], dtype=object)
-    return None if _first_bad_label(values) is not None else values.astype(np.int64, copy=False)
+        return None if value is None else value[0]
 
 
 def load_csv_source(source: dict, base_dir) -> Dataset:

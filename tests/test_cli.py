@@ -708,11 +708,14 @@ def test_bench_overflowing_dataset_is_errored_cell(capsys, tmp_path, huge_csv):
     ({"expected_k": [2]}, "expected_k must be an integer, got list"),
     ({"generator": {"sigma": 10**400}},
      "sigma must be finite, got an integer too large for float64"),
+    ({"path": "bad.csv", "delimiter": "\n"},
+     "delimiter must be one character other than a line end, got '\\n'"),
 ])
 def test_bench_wrong_field_type_is_errored_job(capsys, tmp_path, entry, message):
     generator = {"kind": "gaussian_clusters", "k": 2, "size": 6, "sigma": 0.3, "dims": 2,
                  "rng_seed": 9, **entry.get("generator", {})}
-    bad = {"name": "bad", "expected_k": entry.get("expected_k", 2), "generator": generator}
+    bad = {"name": "bad", "expected_k": 2, **entry, "generator": generator}  # a path goes first
+    (tmp_path / "bad.csv").write_text("x,y\n1,2\n3,4\n")
     manifest = json.loads(write_bench_manifest(tmp_path).read_text()) + [bad]
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))

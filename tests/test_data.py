@@ -1,3 +1,4 @@
+import csv
 import re
 import tracemalloc
 import warnings
@@ -160,14 +161,15 @@ def test_load_csv_names_the_first_defect_of_a_row(tmp_path):
         load_csv(f, label_column="label")
 
 
-def test_load_csv_converts_a_valid_table_in_one_call(tmp_path):
-    # numpy's C reader takes a valid chunk whole: the csv path never runs,
-    # and _floats reads only the first row, to tell a header
+def _valid_rows():  # 500 rows of (x, y, label)
     rng = np.random.default_rng(5)
-    rows = [f"{x!r},{y!r},{label}" for (x, y), label in
+    return [[x, y, label] for (x, y), label in
             zip(rng.normal(size=(500, 2)).tolist(), rng.integers(-3, 4, size=500).tolist())]
-    f = tmp_path / "valid.csv"
-    f.write_text("x,y,label\n" + "\n".join(rows) + "\n")
+
+
+def _assert_read_in_one_call(f):
+    # numpy's C reader takes a valid chunk whole: the walk never runs,
+    # and _floats reads only the first row, to tell a header
     with (mock.patch.object(data, "_floats", wraps=data._floats) as floats,
           mock.patch.object(data, "_convert_chunk", wraps=data._convert_chunk) as convert,
           mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
@@ -175,6 +177,21 @@ def test_load_csv_converts_a_valid_table_in_one_call(tmp_path):
     assert ds.n == 500
     assert [len(call.args[0]) for call in floats.call_args_list] == [3]
     assert (loadtxt.call_count, convert.call_count) == (1, 0)
+
+
+def test_load_csv_converts_a_valid_table_in_one_call(tmp_path):
+    f = tmp_path / "valid.csv"
+    rows = [f"{x!r},{y!r},{label}\n" for x, y, label in _valid_rows()]
+    f.write_text("x,y,label\n" + "".join(rows))
+    _assert_read_in_one_call(f)
+
+
+def test_load_csv_converts_a_quoted_table_in_one_call(tmp_path):
+    # the csv module reads the quoted records; numpy's reader converts them
+    f = tmp_path / "quoted.csv"
+    with open(f, "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([["x", "y", "label"], *_valid_rows()])
+    _assert_read_in_one_call(f)
 
 
 def test_load_csv_drops_a_byte_order_mark(tmp_path):
@@ -195,6 +212,8 @@ def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
     for lines, message in (
         (["a,label", "1,2", "abc,3", "4,5", "6", "7,8"], "non-numeric cell 'abc' at line 3"),
         (["a,label", "1,2", "3", "4,5", "abc,6", "7,8"], "row at line 3 has 1 cells"),
+        # a quoted cell holding the delimiter in a short row
+        (["a,label", "1,2", '"3,4"', "5,6"], "row at line 3 has 1 cells"),
         (["a,label"] + [f"{i},{i % 3}" for i in range(1999)] + ["0,0.5"],
          "non-integer label '0.5' at line 2001"),
         # a ragged row in the first chunk, a bad cell in the second
@@ -225,7 +244,7 @@ def test_load_csv_unreadable_content_is_data_error(tmp_path):
         load_csv(f)
     f.write_text("a;b\n1;2\n")
     assert load_csv(f, delimiter=";").points.tolist() == [[1.0, 2.0]]
-    for delimiter in ("ab", "", 5, None):
+    for delimiter in ("ab", "", 5, None, "\n", "\r"):
         with pytest.raises(ValueError, match="delimiter must be one character"):
             load_csv(f, delimiter=delimiter)
 
@@ -257,7 +276,7 @@ LABEL_CELLS = ["0.5", "1e300", "-1e300", "1e19", str(2**63), str(-(2**63)), "4.0
                "9223372036854774784", str(2**63 - 1), str(1 - 2**63), str(2**53 + 1), "1_0"]
 # Quoted cells, some holding a line end (a record over two lines) or a delimiter.
 QUOTED_CELLS = ['"1.5"', '" -2 "', '"\n3"', '"4\r\n"', '"5\r"', '"6,7"', '"8;9"', '""',
-                '"1"0', '"2"""']
+                '"1"0', '"2"""', '"1\n2"']
 
 
 @st.composite
@@ -309,6 +328,7 @@ def _outcome(load, path, label_column, delimiter=","):
 @settings(max_examples=300, deadline=None)
 @given(table=csv_text())
 @example(table=("x0,label\n\n\r\n\r", ","))  # a header, then blank lines only
+@example(table=('x\n""\n" "\n', ","))  # cells that strip to nothing
 @example(table=("\ufeff1;2\r3;4\r", ";"))
 # bad labels in tables of numbers only, which numpy's reader would take
 @example(table=("x,label\n1.5,0\n2.5,0.5\n", ","))

@@ -41,8 +41,8 @@ def test_import_and_generate_load_no_numpy_ma(tmp_path):
 
 
 def test_import_and_seed_load_no_thread_pool(tmp_path):
-    # concurrent.futures brings logging and queue into every CLI process;
-    # only run_comparison with n_jobs > 1 needs it
+    # concurrent.futures would bring logging and queue into every CLI
+    # process; bench runs its cells serially and needs none of them
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("x,y\n0,0\n0,1\n5,5\n5,6\n")
     probe = (
