@@ -282,24 +282,33 @@ def _convert_chunk(path, chunk, width, label_idx) -> tuple[np.ndarray, np.ndarra
     (points, labels), labels None without a label column. One walk in file
     order (width, then each cell) converts what only Python reads, such as
     1_0 or a label of magnitude 2**53 or more, and raises the first
-    defect's DataError."""
-    points, labels = [], []
+    defect's DataError: the labels walked so far are checked together
+    before a width or cell defect is named, and at the end."""
+    points, labels, walked = [], [], []  # walked: (line, cell) of each label
+
+    def check_labels():
+        if bad := _first_bad_label(np.array(labels, dtype=object)):
+            line, cell = walked[bad[0]]
+            raise DataError(f"{path}: {bad[1]} label {cell!r} at line {line}")
+
     for line, row in chunk:
         if len(row) != width:
+            check_labels()
             raise DataError(f"{path}: row at line {line} has {len(row)} cells, expected {width}")
         for col, cell in enumerate(row, start=1):
             cell = cell.strip()
             value = _label(cell) if col - 1 == label_idx else _floats([cell])
             if value is None:
+                check_labels()
                 raise DataError(f"{path}: non-numeric cell {cell!r} at line {line}, column {col}")
             if col - 1 != label_idx:
                 points += value
-            elif bad := _first_bad_label(np.array([value], dtype=object)):
-                raise DataError(f"{path}: {bad[1]} label {cell!r} at line {line}")
             else:
-                labels.append(int(value))
+                labels.append(value)
+                walked.append((line, cell))
+    check_labels()
     points = np.array(points, dtype=float).reshape(len(chunk), width - (label_idx is not None))
-    return points, None if label_idx is None else np.array(labels, dtype=np.int64)
+    return points, None if label_idx is None else np.array(list(map(int, labels)), dtype=np.int64)
 
 
 def _label(cell: str) -> int | float | None:

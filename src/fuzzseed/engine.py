@@ -331,7 +331,6 @@ def run_fcm(d: Dataset, seeds, cfg: FcmConfig | None = None) -> FcmResult:
     (outcome,) = run_fcm_stacked(d, [seeds], cfg)
     if isinstance(outcome, EngineError):
         raise outcome
-    outcome.membership = outcome.membership.copy()
     return outcome
 
 
@@ -349,10 +348,11 @@ def run_fcm_stacked(d: Dataset, seed_sets, cfg: FcmConfig | None = None) -> list
     in one pass per cycle, once its FW is summed: one that collapses
     (carrying NaN centroids through that distance pass), goes non-finite,
     converges or reaches the iteration cap leaves the stack and the others
-    go on. u^m is released before the stack is compacted, so a stack peaks
-    at three (r, k, n) arrays plus the copies of the memberships of
-    relaunches that left early. Each membership is an (n, k) view of the
-    loop's arrays: copy the one you keep. The caller bounds r*k*n.
+    go on. A relaunch that leaves with an FW gets its FB, FI and FcmResult
+    in that pass, with an owned, C-ordered (n, k) membership. u^m is
+    released before that pass, so a stack peaks at three (r, k, n) arrays,
+    the memberships of the relaunches that left included. The caller
+    bounds r*k*n.
     """
     cfg = cfg or FcmConfig()
     seed_sets = list(seed_sets)  # read twice below
@@ -379,9 +379,7 @@ def run_fcm_stacked(d: Dataset, seed_sets, cfg: FcmConfig | None = None) -> list
     points_t = np.subtract(points.T, xbar[:, None], order="C")
     centroids -= xbar
     outcomes: list = [None] * r
-    traces: list[list[float]] = [[] for _ in range(r)]
-    ended = []  # (relaunch, final u, masses, centred centroids) of each that left with an FW
-    live = list(range(r))  # the relaunch of each slice of the stack
+    live = [(i, []) for i in range(r)]  # (relaunch, FW trace) of each slice of the stack
     # The distances that give FW for one cycle are the ones the next
     # cycle's membership update needs: one distance pass per cycle.
     d2 = sq_dists(centroids.reshape(r * k, p), points_t.T).reshape(r, k, n)
@@ -395,9 +393,9 @@ def run_fcm_stacked(d: Dataset, seed_sets, cfg: FcmConfig | None = None) -> list
         um *= d2  # the products u^m d2, summed into FW in place of a fourth array
         fws = um.reshape(len(live), -1).sum(axis=1).tolist()
         del um
-        stay, leave = [], []
+        stay = []
         for pos, (fw, full) in enumerate(zip(fws, mass.all(axis=1).tolist())):
-            i, trace = live[pos], traces[live[pos]]
+            i, trace = live[pos]
             if not full:
                 outcomes[i] = _collapsed(mass[pos])
                 continue
@@ -409,46 +407,40 @@ def run_fcm_stacked(d: Dataset, seed_sets, cfg: FcmConfig | None = None) -> list
             converged = prev_fw is not None and (
                 prev_fw == 0.0 or abs(fw - prev_fw) / prev_fw < cfg.epsilon
             )
-            (leave if converged or cycle + 1 == cfg.max_iterations else stay).append(pos)
-        # on the last cycle the final memberships are slices of u itself
-        ended += [(live[pos], u[pos].copy() if stay else u[pos], mass[pos], centroids[pos])
-                  for pos in leave]
+            if not converged and cycle + 1 < cfg.max_iterations:
+                stay.append(pos)
+                continue
+            try:  # FB and FI first: the split's u^m is freed before the membership is copied
+                fb, fi = _final_split(points_t, u[pos], mass[pos], centroids[pos], fw, m)
+            except EngineError as exc:
+                outcomes[i] = exc
+                continue
+            outcomes[i] = FcmResult(
+                centroids=centroids[pos] + xbar,
+                membership=u[pos].T.copy(),
+                iterations=len(trace),
+                objective_trace=trace,
+                fw=fw,
+                fb=fb,
+                fi=fi,
+                method=methods[i],
+                dataset=d.name,
+                m=m,
+                epsilon=cfg.epsilon,
+            )
         if not stay:
             break
         if len(stay) < len(live):
             live = [live[pos] for pos in stay]
             d2 = d2[stay]
-
-    # Some u_ik >= 1/k in every row, so only underflow zeroes a u^m row.
-    # u^m is taken again, to the same bits, once the loop's arrays are gone.
-    del d2
-    for i, u, mass, centroids in ended:
-        trace = traces[i]
-        try:
-            fb, fi = _final_split(points_t, u, mass, centroids, trace[-1], m)
-        except EngineError as exc:
-            outcomes[i] = exc
-            continue
-        outcomes[i] = FcmResult(
-            centroids=centroids + xbar,
-            membership=u.T,
-            iterations=len(trace),
-            objective_trace=trace,
-            fw=trace[-1],
-            fb=fb,
-            fi=fi,
-            method=methods[i],
-            dataset=d.name,
-            m=m,
-            epsilon=cfg.epsilon,
-        )
     return outcomes
 
 
 def _final_split(points_t, u, mass, centroids, fw: float, m: float) -> tuple[float, float]:
     """FB and FI of one converged relaunch, from its (k, n) memberships,
     masses and centred centroids; EngineError when a point's u^m row is 0
-    or the split breaks the inertia rule."""
+    (some u_ik >= 1/k in every row, so only underflow zeroes one) or the
+    split breaks the inertia rule."""
     row_mass = (u**m).sum(axis=0)
     if not row_mass.all():
         raise EngineError(

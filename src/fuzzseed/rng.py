@@ -31,5 +31,5 @@ def fresh_seed() -> int:
     return secrets.randbits(64)
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int) -> "np.random.Generator":
     return np.random.default_rng(seed)

@@ -319,7 +319,6 @@ def seed_repeated(
 
     seeds, result = best
     seeds = replace(seeds, method=label, rng_seed=seed, relaunches=r)
-    result.membership = result.membership.copy()
     result.method = label
     result.iterations = total_iterations
     return seeds, result

@@ -212,6 +212,11 @@ def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
     for lines, message in (
         (["a,label", "1,2", "abc,3", "4,5", "6", "7,8"], "non-numeric cell 'abc' at line 3"),
         (["a,label", "1,2", "3", "4,5", "abc,6", "7,8"], "row at line 3 has 1 cells"),
+        # the walk checks the labels it has read together, before a later defect
+        (["a,label", "1_0,1", "3,2.5", "abc,1"], "non-integer label '2.5' at line 3"),
+        (["a,label", "1_0,1", "abc,1", "3,2.5"], "non-numeric cell 'abc' at line 3"),
+        (["a,label", "1_0,1", "3,1e300", "4"], "out-of-range label '1e300' at line 3"),
+        (["a,label", "1_0,1", "4", "3,1e300"], "row at line 3 has 1 cells"),
         # a quoted cell holding the delimiter in a short row
         (["a,label", "1,2", '"3,4"', "5,6"], "row at line 3 has 1 cells"),
         (["a,label"] + [f"{i},{i % 3}" for i in range(1999)] + ["0,0.5"],

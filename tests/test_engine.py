@@ -586,6 +586,23 @@ def test_run_fcm_stacked_scratch_memory_is_three_r_by_k_by_n_arrays(case):
     assert peak <= 8 * cells + 65536
 
 
+def test_run_fcm_stacked_memberships_are_owned_c_ordered_arrays():
+    # a relaunch that leaves early, the ones that leave on the last cycle, and
+    # a stack of one each get their own C-ordered (n, k) membership
+    n, k = 300, 3
+    rng = np.random.default_rng(18)
+    centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
+    d = Dataset(points=centers[rng.integers(0, k, size=n)] + rng.normal(size=(n, 2)))
+    fixed = run_fcm(d, centers, FcmConfig(epsilon=1e-12)).centroids  # converges first
+    seed_sets = [fixed, *draw_seed_sets(rng, d.points, k, 3)]
+    cfg = FcmConfig(epsilon=1e-9, max_iterations=4)
+    outcomes = run_fcm_stacked(d, seed_sets, cfg) + run_fcm_stacked(d, seed_sets[1:2], cfg)
+    assert [o.iterations for o in outcomes] == [2, 4, 4, 4, 4]
+    for outcome in outcomes:
+        assert outcome.membership.shape == (n, k)
+        assert outcome.membership.flags.c_contiguous and outcome.membership.flags.owndata
+
+
 def test_run_fcm_stacked_raises_faults_shared_by_every_seed_set(two_pairs):
     with pytest.raises(EngineError, match="exceeds"):
         run_fcm_stacked(two_pairs, [np.zeros((5, 2))] * 2)

@@ -18,6 +18,19 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_random():
+    # seed and fit with maxmin_linear, and validate, draw nothing; numpy.random
+    # loads with the first seeded draw
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fuzzseed.cli; "
+        "loaded = 'numpy.random' in sys.modules; from fuzzseed.rng import make_rng; "
+        "print(loaded, make_rng(7).integers(10**6) == make_rng(7).integers(10**6))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, SRC],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False True"
+
+
 def test_import_and_generate_load_no_numpy_ma(tmp_path):
     # numpy.ma costs about 14 ms of a CLI call's start; np.unique imports it
     gaussian = {"kind": "gaussian_clusters", "k": 3, "size": 20, "sigma": 0.3, "dims": 2,
