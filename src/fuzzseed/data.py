@@ -60,8 +60,12 @@ def check_types(values, integers, reals) -> None:
 class Dataset:
     """Immutable n x p numeric dataset with optional per-row labels.
 
-    Arrays are copied and marked read-only on construction, so instances
-    are safe to share across concurrent readers.
+    Construction copies the arrays it is given and marks the copies
+    read-only, so instances are safe to share across concurrent readers
+    and a caller's later writes never reach them. A table the library
+    builds itself (a generator's, a loaded CSV's, a rescaled copy) is
+    adopted instead: checked by the same rules and marked read-only, but
+    not copied, since no caller holds it.
     """
 
     points: np.ndarray
@@ -69,12 +73,30 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        self._settle(np.array(self.points, dtype=float), copy=True)
+
+    @classmethod
+    def _adopt(cls, points: np.ndarray, labels: np.ndarray | None, name: str) -> "Dataset":
+        """A Dataset that owns `points` (a float64 array) and `labels`
+        without copying them: for arrays the library has just built and
+        hands to no caller."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "labels", labels)
+        object.__setattr__(d, "name", name)
+        d._settle(points, copy=False)
+        return d
+
+    def _settle(self, pts: np.ndarray, copy: bool) -> None:
+        """The one validation: check the float table `pts` and self.labels,
+        mark both read-only and store them. The labels are cast to int64,
+        and copied when `copy`."""
         if pts.ndim != 2:
             raise DataError(f"points must be 2-D, got shape {pts.shape}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise DataError(f"need n >= 1 and p >= 1, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        # min and max propagate NaN and reach any infinity, and scan the
+        # table without the n x p mask np.isfinite would allocate
+        if not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
             bad = np.argwhere(~np.isfinite(pts))[0]
             raise DataError(f"non-finite value at row {bad[0] + 1}, column {bad[1] + 1}")
         pts.setflags(write=False)
@@ -97,7 +119,7 @@ class Dataset:
                 raise DataError(
                     f"{problem} label {flat.item(row)} at row {row + 1}: labels are int64 ids"
                 )
-            labs = given.astype(int)
+            labs = given.astype(int, copy=copy)
             if labs.shape != (pts.shape[0],):
                 raise DataError(
                     f"labels length {labs.shape} does not match n={pts.shape[0]}"
@@ -179,7 +201,7 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
     except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     name = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(points=points, labels=labels, name=name)
+    return Dataset._adopt(points, labels, name)
 
 
 def _read_table(path, fh, label_column, delimiter) -> tuple[np.ndarray, np.ndarray | None]:
@@ -402,4 +424,6 @@ def standardize(d: Dataset, mode: str = "none") -> Dataset:
     if flat.size:
         problem = "zero-variance" if mode == "z-score" else "constant"
         raise DataError(f"{problem} feature {flat[0] + 1} under {mode}")
-    return Dataset(points=(d.points - shift) / scale, labels=d.labels, name=d.name)
+    points = d.points - shift
+    points /= scale
+    return Dataset._adopt(points, d.labels, d.name)

@@ -64,15 +64,19 @@ class NoiseSpec:
 
 
 def gen_gaussian_clusters(spec: GaussianSpec) -> Dataset:
-    """Generate k labeled Gaussian clusters, deterministic under rng_seed."""
+    """Generate k labeled Gaussian clusters, deterministic under rng_seed.
+    Each cluster's draw is written into one preallocated table, which the
+    Dataset adopts, so the table is built once."""
     seed = fresh_seed() if spec.rng_seed is None else spec.rng_seed
     rng = make_rng(seed)
-    blocks, labels = [], []
+    size = spec.size
+    points = np.empty((spec.k * size, spec.dims))
     for i in range(1, spec.k + 1):
-        blocks.append(rng.normal(loc=float(i), scale=spec.sigma, size=(spec.size, spec.dims)))
-        labels.extend([i] * spec.size)
+        points[(i - 1) * size: i * size] = rng.normal(loc=float(i), scale=spec.sigma,
+                                                      size=(size, spec.dims))
+    labels = np.repeat(np.arange(1, spec.k + 1), size)
     name = spec.name or f"gaussian_k{spec.k}_sd{spec.sigma:g}"
-    return Dataset(points=np.vstack(blocks), labels=np.array(labels), name=name)
+    return Dataset._adopt(points, labels, name)
 
 
 def add_skewed_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
@@ -101,10 +105,10 @@ def add_skewed_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
             offset = spec.spread_multiplier * sd + np.abs(rng.normal(0.0, sd))
             new_points.append(center + side * offset)
             new_labels.append(label)
-    return Dataset(
-        points=np.vstack([d.points, np.array(new_points)]),
-        labels=np.concatenate([d.labels, np.array(new_labels)]),
-        name=f"{d.name}_noised",
+    return Dataset._adopt(
+        np.vstack([d.points, np.array(new_points)]),
+        np.concatenate([d.labels, np.array(new_labels)]),
+        f"{d.name}_noised",
     )
 
 

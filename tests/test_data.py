@@ -9,7 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fuzzseed import DataError, Dataset, data, grand_mean, load_csv, standardize, write_csv
+from fuzzseed import (
+    DataError,
+    Dataset,
+    GaussianSpec,
+    NoiseSpec,
+    add_skewed_noise,
+    data,
+    gen_gaussian_clusters,
+    grand_mean,
+    load_csv,
+    standardize,
+    write_csv,
+)
 
 from .conftest import traced_peak
 from .helpers import reference_load_csv, reference_write_csv
@@ -375,10 +387,45 @@ def test_dataset_validation():
         Dataset(points=[[1.0, 2.0]], labels=[1, 2])
 
 
+def test_dataset_names_the_first_non_finite_value():
+    # each kind of non-finite value, alone or behind another one, and
+    # next to the table's finite extremes
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.full((40, 3), 0.5)
+        pts[0, 0], pts[-1, -1] = np.finfo(float).max, -np.finfo(float).max
+        pts[17, 2] = bad
+        with pytest.raises(DataError, match=r"non-finite value at row 18, column 3$"):
+            Dataset(points=pts)
+        pts[30, 0] = -bad
+        with pytest.raises(DataError, match=r"non-finite value at row 18, column 3$"):
+            Dataset(points=pts)
+
+
 def test_dataset_points_read_only():
     ds = Dataset(points=[[1.0, 2.0]])
     with pytest.raises(ValueError):
         ds.points[0, 0] = 5.0
+
+
+def test_dataset_construction_copies_its_inputs():
+    points, labels = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, 2])
+    ds = Dataset(points=points, labels=labels)
+    points[0, 0], labels[0] = 9.0, 7
+    assert ds.points.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.labels.tolist() == [1, 2]
+    assert points.flags.writeable and labels.flags.writeable
+
+
+def test_library_built_datasets_own_read_only_arrays(tmp_path):
+    base = gen_gaussian_clusters(GaussianSpec(k=3, size=40, sigma=0.3, dims=2, rng_seed=1))
+    write_csv(base, tmp_path / "base.csv")
+    built = [base, add_skewed_noise(base, NoiseSpec(rng_seed=2)),
+             standardize(base, "z-score"), standardize(base, "min-max"),
+             load_csv(tmp_path / "base.csv", label_column="label"),
+             load_csv(tmp_path / "base.csv")]
+    for ds in built:
+        for arr in (ds.points, *(() if ds.labels is None else (ds.labels,))):
+            assert arr.flags.owndata and not arr.flags.writeable, ds.name
+    assert [ds.labels.dtype for ds in built[:5]] == [np.int64] * 5
 
 
 def test_grand_mean():

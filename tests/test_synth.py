@@ -11,6 +11,9 @@ from fuzzseed import (
     load_csv,
     write_csv,
 )
+from fuzzseed.rng import make_rng
+
+from .conftest import traced_peak
 
 
 def test_gaussian_three_cluster_shape():
@@ -42,6 +45,25 @@ def test_gaussian_cluster_means_follow_index():
 def test_gaussian_deterministic():
     spec = GaussianSpec(k=3, size=20, sigma=0.3, dims=3, rng_seed=5)
     assert np.array_equal(gen_gaussian_clusters(spec).points, gen_gaussian_clusters(spec).points)
+
+
+@pytest.mark.parametrize("k, size, dims", [(1, 30, 3), (4, 1, 2), (3, 20, 1), (10, 2000, 16)])
+def test_gaussian_matches_a_list_and_vstack_reference_bitwise(k, size, dims):
+    spec = GaussianSpec(k=k, size=size, sigma=0.7, dims=dims, rng_seed=21)
+    rng = make_rng(21)
+    blocks = [rng.normal(loc=float(i), scale=0.7, size=(size, dims)) for i in range(1, k + 1)]
+    labels = [i for i in range(1, k + 1) for _ in range(size)]
+    ds = gen_gaussian_clusters(spec)
+    assert ds.points.tobytes() == np.vstack(blocks).tobytes()
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == labels
+
+
+def test_gaussian_peak_memory_is_near_its_table():
+    # one preallocated table, one cluster's draw, the labels and the
+    # finiteness check; stacking cluster blocks peaked at about 3.3 tables
+    spec = GaussianSpec(k=10, size=5000, sigma=0.6, dims=16, rng_seed=22)
+    ds, peak = traced_peak(gen_gaussian_clusters, spec)
+    assert peak <= 1.5 * ds.points.nbytes
 
 
 def test_gaussian_spec_validation():
