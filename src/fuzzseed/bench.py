@@ -38,10 +38,10 @@ FORMATS = ("json", "csv", "md")
 
 def resolve_formats(names) -> tuple[str, ...]:
     """The FORMATS entries for a list of format names: blank names are
-    dropped and "markdown" / "markdown-table" mean "md". An unknown name
-    raises ValueError."""
+    dropped, "markdown" / "markdown-table" mean "md" and only the first
+    of repeated names is kept. An unknown name raises ValueError."""
     aliases = {"markdown": "md", "markdown-table": "md"}
-    formats = tuple(aliases.get(f.strip(), f.strip()) for f in names if f.strip())
+    formats = tuple(dict.fromkeys(aliases.get(f.strip(), f.strip()) for f in names if f.strip()))
     unknown = [f for f in formats if f not in FORMATS]
     if unknown:
         raise ValueError(f"unknown formats: {unknown}; choose from {', '.join(FORMATS)}")
@@ -218,8 +218,9 @@ def run_comparison(
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     slugs = [_slug(job.name) for job in jobs]  # unique slugs imply unique names
-    if len(set(slugs)) != len(slugs):
-        raise ValueError(f"dataset names must be unique as table names, got {slugs}")
+    if len(set(slugs + ["average"])) != len(slugs) + 1:
+        raise ValueError(f"dataset names must be unique as table names, got {slugs}, "
+                         "and 'average' is taken: its ranks would overwrite average_ranks")
 
     cells: dict = {}
     for job, method in grid:

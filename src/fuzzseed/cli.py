@@ -36,10 +36,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _effective_seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("FUZZSEED_SEED")
-    return int(env) if env else None
+    """--seed, else FUZZSEED_SEED unless unset or empty, else None (a fresh
+    seed); a value that is not an integer >= 0 is a ValueError naming its source."""
+    source, value = ("--seed", args.seed) if args.seed is not None else (
+        "FUZZSEED_SEED", os.environ.get("FUZZSEED_SEED") or None)
+    if value is not None and not str(value).strip().isdecimal():
+        raise ValueError(f"{source} must be an integer >= 0, got {value!r}")
+    return None if value is None else int(value)
 
 
 def _load_dataset(args):
@@ -118,8 +121,8 @@ def _make_config(args) -> FcmConfig:
 
 
 def cmd_seed(args) -> int:
-    ds = _load_dataset(args)
     seed = _effective_seed(args)
+    ds = _load_dataset(args)
     seeds = make_seeds(ds, args.k, args.method, seed=seed)
     if seeds.rng_seed is not None:
         print(f"seed={seeds.rng_seed}", file=sys.stderr)
@@ -129,8 +132,8 @@ def cmd_seed(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _make_config(args)
-    ds = _load_dataset(args)
     seed = _effective_seed(args)
+    ds = _load_dataset(args)
     seeds, result = fit_method(ds, args.k, args.method, cfg=cfg, seed=seed)
     if seeds.rng_seed is not None:
         print(f"seed={seeds.rng_seed}", file=sys.stderr)

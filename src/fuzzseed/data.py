@@ -179,21 +179,21 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
     are rejected. A leading UTF-8 byte-order mark is dropped.
 
     The csv module reads the header; the data lines are converted
-    _CHUNK_ROWS at a time by numpy's C text reader, which parses a number
-    as float() does. Since a quoted cell may span lines, every chunk from
-    the first one holding a quote character on is read by the csv module
-    first, and its rows' stripped cells, rejoined one line per record, go to
-    the same reader. A chunk the reader does not take is walked by
-    _convert_chunk, which converts it or raises a DataError giving the
-    1-based record (line) / column of the first ragged row, non-numeric
-    cell or bad label. A file that cannot be opened, decoded or parsed as
-    CSV is a DataError too; a delimiter that is not one character, or is a
-    line end, is a ValueError.
+    _CHUNK_ROWS at a time or more, up to a record's end, by numpy's C text
+    reader, which parses a number as float() does and a quoted cell as the
+    csv module does. A chunk the reader does not take, or in which a quoted
+    cell holds a line end, is walked by _convert_chunk over the csv module's
+    records, which converts it or raises a DataError giving the 1-based
+    record (line) / column of the first ragged row, non-numeric cell or bad
+    label. A file that cannot be opened, decoded or parsed as CSV is a
+    DataError too; a delimiter that is not one character, or is a line end
+    or the quote character, is a ValueError.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
-    if delimiter in "\r\n":  # numpy's reader raises TypeError on one
-        raise ValueError(f"delimiter must be one character other than a line end, "
+    if delimiter in '\r\n"':  # numpy's reader raises TypeError on each
+        other = "the quote character" if delimiter == '"' else "a line end"
+        raise ValueError(f"delimiter must be one character other than {other}, "
                          f"got {delimiter!r}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -206,14 +206,17 @@ def load_csv(path, label_column: str | None = None, delimiter: str = ",") -> Dat
 
 def _read_table(path, fh, label_column, delimiter) -> tuple[np.ndarray, np.ndarray | None]:
     """(points, labels) from a CSV file opened with newline=""."""
-    records = enumerate(csv.reader(fh, delimiter=delimiter), start=1)
+    read = []  # the lines the csv module reads, to the end of the first non-blank record
+    records = enumerate(csv.reader((read.append(line) or line for line in fh),
+                                   delimiter=delimiter), start=1)
     line, first = next(((line, row) for line, row in records if row), (0, None))
     if first is None:
         raise DataError(f"{path}: file contains no data")
     has_header = _floats(first) is None
     header = [cell.strip() for cell in first] if has_header else None
-    chunks = _chunks(fh, line, delimiter)
-    head = next(chunks, None) if has_header else (None, [(line, first)])
+    # a headerless first row goes to numpy's reader as the raw text it is
+    chunks = _chunks(fh, line) if has_header else _chunks(itertools.chain(read, fh), 0)
+    head = next(chunks, None)
     if head is None:
         raise DataError(f"{path}: no data rows after header")
 
@@ -226,22 +229,26 @@ def _read_table(path, fh, label_column, delimiter) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(points), None if label_idx is None else np.concatenate(labels)
 
 
-def _chunks(fh, line, delimiter):
-    """The records of `fh` after record `line`, _CHUNK_ROWS lines at a time:
-    (number of the first, lines) while no line holds a quote character, so
-    that each line is one record (a chunk of blank lines is skipped); then
-    (None, rows) of csv.reader's non-blank (line, cells) records."""
+def _chunks(fh, record):
+    """The lines of `fh` after record `record` as (number of the first
+    record, lines, spans), _CHUNK_ROWS lines at a time or more: a chunk
+    grows until its last record ends, since a line that leaves an odd count
+    of quote characters behind it ends inside a quoted cell. `spans` tells
+    that a record of the chunk holds a line end. A chunk of blank lines is
+    skipped, and one whose growth passes the csv module's field limit ends
+    there, since its open cell is then an error."""
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
-        if '"' in "".join(lines):  # a quoted cell may span lines from here on
-            fh = itertools.chain(lines, fh)
-            break
+        inside = [0]  # 1 for a line that ends inside a quoted cell
+        if '"' in "".join(lines):
+            inside = [n % 2 for n in itertools.accumulate(line.count('"') for line in lines)]
+            grown = 0  # characters of the open cell past _CHUNK_ROWS lines
+            while inside[-1] and grown <= csv.field_size_limit() and (line := next(fh, "")):
+                lines.append(line)
+                grown += len(line)
+                inside.append((inside[-1] + line.count('"')) % 2)
         if _blank(lines) < len(lines):
-            yield line + 1, lines
-        line += len(lines)
-    records = csv.reader(fh, delimiter=delimiter)
-    records = ((i, row) for i, row in enumerate(records, start=line + 1) if row)
-    for rows in iter(lambda: list(itertools.islice(records, _CHUNK_ROWS)), []):
-        yield None, rows
+            yield record + 1, lines, any(inside)
+        record += len(lines) - sum(inside)
 
 
 def _blank(lines: list[str]) -> int:
@@ -251,26 +258,15 @@ def _blank(lines: list[str]) -> int:
 
 
 def _convert(path, chunk, width, label_idx, delimiter) -> tuple[np.ndarray, np.ndarray | None]:
-    """A chunk of _chunks as (points, labels) by _parse_lines: raw lines as
-    they are, csv.reader rows as their stripped cells joined by the
-    delimiter. Rows are taken only when each has the header row's width,
-    none joins to a blank line (an empty cell, which numpy skips) and the
-    reader returns one row per record, since a cell may hold a line end.
-    Otherwise _convert_chunk walks the rows."""
-    first, body = chunk
-    if first is None:
-        rows = body
-        lines = [delimiter.join(map(str.strip, cells)) for _, cells in rows]
-        if all(len(cells) == width for _, cells in rows) and all(lines):
-            converted = _parse_lines(lines, width, label_idx, delimiter)
-            if converted is not None and len(converted[0]) == len(rows):
-                return converted
-    else:
-        converted = _parse_lines(body, width, label_idx, delimiter)
-        if converted is not None:
-            return converted
-        rows = [(line, cells) for line, cells in
-                enumerate(csv.reader(body, delimiter=delimiter), start=first) if cells]
+    """A chunk of _chunks as (points, labels) by _parse_lines, unless a
+    record of it spans lines: the csv module's field limit applies to such
+    a cell, not to each of its lines. Otherwise, or if _parse_lines does not
+    take the chunk, _convert_chunk walks the csv module's records of it."""
+    first, lines, spans = chunk
+    if not spans and (converted := _parse_lines(lines, width, label_idx, delimiter)):
+        return converted
+    rows = [(line, cells) for line, cells in
+            enumerate(csv.reader(lines, delimiter=delimiter), start=first) if cells]
     return _convert_chunk(path, rows, width, label_idx)
 
 
@@ -285,7 +281,7 @@ def _parse_lines(lines, width, label_idx, delimiter):
     try:
         # every column as float64: numpy releases that only deprecate a float
         # in an integer field read a 0.5 label there as 0
-        table = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+        table = np.loadtxt(lines, delimiter=delimiter, comments=None, quotechar='"', ndmin=2)
     except ValueError:
         return None
     if table.shape[1] != width or not np.isfinite(table).all():

@@ -368,6 +368,9 @@ def test_run_comparison_input_validation(two_pairs):
         run_comparison([(two_pairs, 2)], methods=["maxmin_linear"], n_jobs=2.0)
     with pytest.raises(ValueError, match="unique"):
         run_comparison([(two_pairs, 2), (two_pairs, 2)], methods=["maxmin_linear"])
+    # its ranks table would be average_ranks, which write_report writes next
+    with pytest.raises(ValueError, match="'average' is taken"):
+        run_comparison([BenchJob("average", 2, dataset=two_pairs)], methods=["maxmin_linear"])
 
 
 def test_nan_criterion_value_makes_every_rank_nan():

@@ -294,6 +294,43 @@ def test_unreadable_csv_exits_2_and_bad_delimiter_exits_1(capsys, tmp_path, line
     assert err == "fuzzseed: error: delimiter must be one character, got 'ab'\n"
 
 
+def test_quoted_cell_past_the_field_limit_exits_2_and_quote_delimiter_exits_1(capsys, tmp_path,
+                                                                               line5):
+    seed = ("seed", "--k", "2", "--method", "maxmin_linear", "--data")
+    # a quoted cell of 140002 characters over short lines: none of them is
+    # past the csv module's field limit, but the cell is
+    spread = tmp_path / "spread.csv"
+    spread.write_text('a,b\n1,"2' + "\n" * 140000 + '"\n')
+    code, out, err = run_cli(capsys, *seed, str(spread))
+    assert (code, out) == (2, "")
+    assert err == f"fuzzseed: cannot read {spread}: field larger than field limit (131072)\n"
+    # numpy's reader cannot take the quote character as a delimiter
+    code, out, err = run_cli(capsys, *seed, str(line5), "--delimiter", '"')
+    assert (code, out) == (1, "")
+    assert err == ("fuzzseed: error: delimiter must be one character other than the quote "
+                   "character, got '\"'\n")
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (("--seed", "-5"), None, "--seed must be an integer >= 0, got -5"),
+    ((), "abc", "FUZZSEED_SEED must be an integer >= 0, got 'abc'"),
+    ((), "-5", "FUZZSEED_SEED must be an integer >= 0, got '-5'"),
+    ((), "2.5", "FUZZSEED_SEED must be an integer >= 0, got '2.5'"),
+], ids=["flag_negative", "env_text", "env_negative", "env_float"])
+def test_seed_must_be_a_non_negative_integer(capsys, tmp_path, monkeypatch, line5, argv, env,
+                                             message):
+    if env is not None:
+        monkeypatch.setenv("FUZZSEED_SEED", env)
+    data = ("--data", str(line5), "--k", "2", "--method", "kmeanspp")
+    manifest = write_bench_manifest(tmp_path)
+    for command in (("seed", *data), ("fit", *data),
+                    ("bench", "--manifest", str(manifest), "--out", str(tmp_path / "rep"),
+                     "--methods", "kmeanspp")):
+        code, out, err = run_cli(capsys, *command, *argv)
+        assert (code, out, err) == (1, "", f"fuzzseed: error: {message}\n")
+    assert not (tmp_path / "rep").exists()
+
+
 def test_validate_round_trip(capsys, tmp_path, ruspini_csv):
     out_json = tmp_path / "fit.json"
     out_u = tmp_path / "u.csv"
@@ -710,6 +747,8 @@ def test_bench_overflowing_dataset_is_errored_cell(capsys, tmp_path, huge_csv):
      "sigma must be finite, got an integer too large for float64"),
     ({"path": "bad.csv", "delimiter": "\n"},
      "delimiter must be one character other than a line end, got '\\n'"),
+    ({"path": "bad.csv", "delimiter": '"'},
+     "delimiter must be one character other than the quote character, got '\"'"),
 ])
 def test_bench_wrong_field_type_is_errored_job(capsys, tmp_path, entry, message):
     generator = {"kind": "gaussian_clusters", "k": 2, "size": 6, "sigma": 0.3, "dims": 2,
@@ -757,16 +796,20 @@ def test_bench_rejects_unknown_method(capsys, tmp_path):
 
 
 def test_bench_dataset_names_sharing_a_table_name_exit_1(capsys, tmp_path):
-    # "a b" and "a_b" would both write tables/a_b_values.csv
+    # "a b" and "a_b" would both write tables/a_b_values.csv, and "average"
+    # would write tables/average_ranks.csv, the average ranks' table
     spec = {"kind": "gaussian_clusters", "k": 2, "size": 6, "sigma": 0.3, "dims": 2, "rng_seed": 9}
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps([{"name": name, "expected_k": 2, "generator": spec}
-                                    for name in ("a b", "a_b")]))
-    code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest), "--out",
-                             str(tmp_path / "rep"), "--seed", "2", "--methods", "maxmin_linear")
-    assert (code, out) == (1, "")
-    assert "dataset names must be unique as table names, got ['a_b', 'a_b']" in err
-    assert not (tmp_path / "rep").exists()
+    for names in (("a b", "a_b"), ("average", "b")):
+        manifest.write_text(json.dumps([{"name": name, "expected_k": 2, "generator": spec}
+                                        for name in names]))
+        code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest), "--out",
+                                 str(tmp_path / "rep"), "--seed", "2", "--methods",
+                                 "maxmin_linear")
+        assert (code, out) == (1, "")
+        slugs = [name.replace(" ", "_") for name in names]
+        assert f"dataset names must be unique as table names, got {slugs}" in err
+        assert not (tmp_path / "rep").exists()
 
 
 def test_bench_unwritable_out_is_data_error(capsys, tmp_path):
@@ -800,6 +843,14 @@ def test_bench_formats(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["report"] == str(tmp_path / "md" / "report.json")
     assert {Path(name).suffix for name in summary["files"]} == {".json", ".md"}
+
+    # a repeated name, or an alias of one, writes each file once
+    code, out, _ = run_cli(capsys, *base, "--out", str(tmp_path / "twice"),
+                           "--formats", "json,json,md,markdown")
+    assert code == 0
+    files = json.loads(out)["files"]
+    assert len(files) == len(set(files)) == 1 + 2 * 3 + 1  # 3 datasets' two tables, the average
+    assert {Path(name).suffix for name in files} == {".json", ".md"}
 
 
 def test_fit_echoes_drawn_seed(capsys, line5):

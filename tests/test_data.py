@@ -181,14 +181,16 @@ def _valid_rows():  # 500 rows of (x, y, label)
 
 def _assert_read_in_one_call(f):
     # numpy's C reader takes a valid chunk whole: the walk never runs,
-    # and _floats reads only the first row, to tell a header
+    # _floats reads only the first row, to tell a header, and the csv
+    # module reads nothing past that header
     with (mock.patch.object(data, "_floats", wraps=data._floats) as floats,
           mock.patch.object(data, "_convert_chunk", wraps=data._convert_chunk) as convert,
-          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt):
+          mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+          mock.patch.object(csv, "reader", wraps=csv.reader) as reader):
         ds = load_csv(f, label_column="label")
     assert ds.n == 500
     assert [len(call.args[0]) for call in floats.call_args_list] == [3]
-    assert (loadtxt.call_count, convert.call_count) == (1, 0)
+    assert (loadtxt.call_count, convert.call_count, reader.call_count) == (1, 0, 1)
 
 
 def test_load_csv_converts_a_valid_table_in_one_call(tmp_path):
@@ -199,7 +201,7 @@ def test_load_csv_converts_a_valid_table_in_one_call(tmp_path):
 
 
 def test_load_csv_converts_a_quoted_table_in_one_call(tmp_path):
-    # the csv module reads the quoted records; numpy's reader converts them
+    # numpy's reader parses the quoted cells as the csv module would
     f = tmp_path / "quoted.csv"
     with open(f, "w", newline="") as fh:
         csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([["x", "y", "label"], *_valid_rows()])
@@ -246,6 +248,25 @@ def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
         outcome = _outcome(load_csv, f, "label")
         assert outcome == _outcome(reference_load_csv, f, "label")
         assert outcome[0] == "DataError" and message in outcome[1]
+
+
+def test_load_csv_numbers_records_after_a_multi_line_cell(tmp_path):
+    # a record whose quoted cell holds line ends counts once, as the csv
+    # module counts it, in a later chunk too
+    f = tmp_path / "span.csv"
+    good = [f"{i},{i % 3}" for i in range(5)]
+    for lines, message in (
+        (["x,label", '1,"', '2"', "3,abc"], "non-numeric cell 'abc' at line 3"),
+        (["x,label", '"1', '', '",7', *good, "4"], "row at line 8 has 1 cells"),
+        (["x,label", *good, '"5","\r', '1"', *good, '"6\n",0.5'],
+         "non-integer label '0.5' at line 13"),
+    ):
+        f.write_text("\n".join(lines) + "\n")
+        for chunk_rows in (1, 2, 3, data._CHUNK_ROWS):
+            with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+                outcome = _outcome(load_csv, f, "label")
+            assert outcome == _outcome(reference_load_csv, f, "label")
+            assert outcome[0] == "DataError" and message in outcome[1]
 
 
 def test_load_csv_unreadable_content_is_data_error(tmp_path):
@@ -307,7 +328,7 @@ def csv_text(draw):
         st.builds(lambda x, fmt: fmt % x, st.floats(allow_nan=False, allow_infinity=False),
                   st.sampled_from(["%r", "%.17g", "%.5e", "%.25f"])),
     )
-    quoted = draw(st.booleans())  # a quote sends the rest of the file to the csv module
+    quoted = draw(st.booleans())  # a cell over lines sends its chunk to the walk
     odd = [st.sampled_from(ODD_CELLS)] + ([st.sampled_from(QUOTED_CELLS)] if quoted else [])
     # one table in four holds numbers only, so numpy's reader takes it whole
     cell = st.one_of(number, number, number, *odd) if draw(st.integers(0, 3)) else number

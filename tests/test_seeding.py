@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fuzzseed import (
     seed_repeated,
 )
 from fuzzseed import seeding
-from fuzzseed.engine import _BLOCK_CELLS, _BUFSIZE, run_fcm_stacked
+from fuzzseed.engine import _BLOCK_CELLS, _BUFSIZE, _sq_dists_t, run_fcm_stacked
 from fuzzseed.rng import derive_seed
 from fuzzseed.seeding import STRATEGIES, SeedSet, _farthest, _spread
 
@@ -310,6 +311,29 @@ def test_maxmin_linear_eval_count():
         ss = seed_maxmin_linear(ds, k)
         assert ss.distance_evals == n * k
         assert ss.distance_evals <= 2 * k * n
+
+
+def test_distance_evals_count_the_cells_computed(ruspini_like):
+    # every seeding distance goes through _sq_dists_t; the cells it returns
+    # are counted here apart from the seeders' own counter (maxmin, the
+    # oracle, reports the n(n-1)/2 pairs, not the cells it computes)
+    cells = []
+
+    def counted(a_t, b_t):
+        out = _sq_dists_t(a_t, b_t)
+        cells.append(out.size)
+        return out
+
+    n = ruspini_like.n
+    with mock.patch.object(seeding, "_sq_dists_t", counted):
+        for k in (1, 2, 5):
+            cells.clear()
+            evals = seed_kmeanspp(ruspini_like, k, seed=3).distance_evals
+            assert evals == sum(cells) == n * (k - 1)
+        for k in (2, 5):
+            cells.clear()
+            evals = seed_maxmin_linear(ruspini_like, k).distance_evals
+            assert evals == sum(cells) == n * k
 
 
 def test_maxmin_eval_counts_scale_linearly_vs_quadratically():
