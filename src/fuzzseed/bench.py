@@ -4,8 +4,8 @@ Each (dataset, method) cell runs the named seeding strategy and FCM once
 (relaunch strategies run their relaunches internally), records ten
 criteria, and the harness then ranks methods per dataset and criterion
 and averages ranks across datasets. Stochastic methods get sub-seeds
-derived from the master seed and the cell identity, so reports are
-byte-identical across runs and parallelism settings.
+derived from the master seed and the cell identity, and cells run in
+dataset and method order, so reports are byte-identical across runs.
 """
 
 import json
@@ -163,7 +163,7 @@ def load_manifest(path) -> list[BenchJob]:
             else:
                 raise DataError(f"manifest entry {name!r} has neither path nor generator")
             ds = standardize(ds, entry.get("standardize", "none"))
-            ds = replace(ds, name=name)
+            ds = Dataset._adopt(ds.points, ds.labels, name)
             jobs.append(BenchJob(name=name, expected_k=expected_k, dataset=ds))
         except (DataError, ValueError, KeyError) as exc:
             jobs.append(BenchJob(name=name, expected_k=entry.get("expected_k", 0), error=str(exc)))
@@ -194,13 +194,12 @@ def run_comparison(
     methods=DEFAULT_BENCH_METHODS,
     cfg: FcmConfig | None = None,
     master_seed: int = 0,
-    n_jobs: int = 1,
 ) -> ComparisonReport:
     """Run every (dataset, method) cell and collect criterion values.
 
-    `jobs` (BenchJob or (Dataset, expected_k) pairs) and `methods` must be non-empty,
-    n_jobs an integer >= 1. Cells run serially, whatever n_jobs, in the input order,
-    which fixes the assembly order and therefore the serialized output.
+    `jobs` (BenchJob or (Dataset, expected_k) pairs) and `methods` must be non-empty.
+    Cells run serially in the input order, which fixes the assembly order and
+    therefore the serialized output.
     """
     cfg = cfg or FcmConfig()
     jobs = [
@@ -214,9 +213,6 @@ def run_comparison(
     grid = [(job, method) for job in jobs for method in methods]
     if not grid:
         raise ValueError(f"the grid is empty: {len(jobs)} datasets x {len(methods)} methods")
-    check_types({"n_jobs": n_jobs}, ("n_jobs",), ())
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     slugs = [_slug(job.name) for job in jobs]  # unique slugs imply unique names
     if len(set(slugs + ["average"])) != len(slugs) + 1:
         raise ValueError(f"dataset names must be unique as table names, got {slugs}, "

@@ -109,7 +109,8 @@ def build_parser() -> _Parser:
                    help="comma-separated strategy ids")
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: cells run serially (must be at least 1)")
     _add_fcm_flags(p)
     p.add_argument("--formats", default=",".join(FORMATS),
                    help=f"comma-separated subset of {', '.join(FORMATS)}")
@@ -248,7 +249,7 @@ def cmd_bench(args) -> int:
     print(f"master_seed={seed}", file=sys.stderr)
 
     jobs = load_manifest(args.manifest)
-    report = run_comparison(jobs, methods, cfg=cfg, master_seed=seed, n_jobs=args.jobs)
+    report = run_comparison(jobs, methods, cfg=cfg, master_seed=seed)
     report = rank_methods(report)
     written = write_report(report, args.out, formats=formats)
 

@@ -229,7 +229,9 @@ def reference_seed_maxmin_quadratic(points, k):
 def reference_load_csv(path, label_column=None, delimiter=","):
     """load_csv cell by cell: float() and isfinite on every feature cell;
     int() on every label cell, and float() only where int() rejects it,
-    checked where it is met. Same contract and messages as load_csv."""
+    checked where it is met. Same contract and messages as load_csv, except
+    that it reads the whole file before it looks at the header: a file the
+    csv module cannot read fails here before a missing label column would."""
     import csv
     import math
     import os
@@ -246,7 +248,7 @@ def reference_load_csv(path, label_column=None, delimiter=","):
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh, delimiter=delimiter))
-    except OSError as exc:
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     numbered = [(i + 1, row) for i, row in enumerate(rows) if row]
     if not numbered:

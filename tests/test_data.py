@@ -373,6 +373,7 @@ def _outcome(load, path, label_column, delimiter=","):
 @example(table=("x,label\n1.5,1e19\n", ","))
 @example(table=("label\tx\n-9223372036854775808\t1\n", "\t"))
 @example(table=("x label\n1 9007199254740993\n2 4.0\n", " "))  # exact beyond 2**53
+@example(table=("x,label\n1," + "1" * 200000 + "\n", ","))  # past the csv field limit
 def test_load_csv_matches_cell_by_cell_reference(tmp_path_factory, table):
     text, delimiter = table
     path = tmp_path_factory.getbasetemp() / "parity.csv"

@@ -15,9 +15,11 @@ from fuzzseed import (
     EngineError,
     FcmConfig,
     FcmResult,
+    GaussianSpec,
     fuzzy_between,
     fuzzy_inertia,
     fuzzy_within,
+    gen_gaussian_clusters,
     run_comparison,
     run_fcm,
     run_fcm_stacked,
@@ -532,6 +534,28 @@ def test_run_fcm_stacked_matches_run_fcm_bitwise():
             points = rng.normal(size=(n, 2))
             assert_stack_matches_run_fcm(Dataset(points=points, name="tiny"),
                                          draw_seed_sets(rng, points, k, 5), FcmConfig())
+
+
+def test_fcm_distance_count_is_n_k_t_plus_one(monkeypatch):
+    # README's n*k*(t+1) point-to-centroid distances: sq_dists makes one pass
+    # before the first cycle and one per cycle (FB and FI call _sq_dists_t)
+    d = gen_gaussian_clusters(GaussianSpec(k=4, size=60, sigma=0.6, dims=3, rng_seed=5))
+    n, k = d.n, 4
+    cells = []
+
+    def counted(a, b):
+        out = sq_dists(a, b)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(engine, "sq_dists", counted)
+    rng = np.random.default_rng(18)
+    result = run_fcm(d, draw_seed_sets(rng, d.points, k, 1)[0])
+    assert sum(cells) == n * k * (result.iterations + 1)
+    cells.clear()
+    outcomes = run_fcm_stacked(d, draw_seed_sets(rng, d.points, k, 7))
+    assert len({o.iterations for o in outcomes}) > 1
+    assert sum(cells) == sum(n * k * (o.iterations + 1) for o in outcomes)
 
 
 def test_run_fcm_stacked_drops_a_collapsed_relaunch_alone():
